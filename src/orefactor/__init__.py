@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .errors import (
     EngineError,
     ExcludedM,
+    ExcludedN,
     IndexDivisible,
     NonMonicModulus,
     NonPrime,

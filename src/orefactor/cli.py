@@ -30,7 +30,7 @@ from .monogenity import (
     prime_factors_squarefree,
 )
 from .ore import dedekind_test, ore_factor
-from .polygon import build_polygon, phi_index, render_polygon, residual_polynomial
+from .polygon import _principal_lattice_count, build_polygon, render_polygon, residual_polynomial
 
 ENV_SQUAREFREE_BOUND = "OREFACTOR_SQUAREFREE_BOUND"
 _MAX_EXPONENT = 100_000
@@ -38,6 +38,10 @@ _MAX_EXPONENT = 100_000
 
 class NonIntegerCoefficient(PolyParseError):
     """The expression contains a non-integer coefficient."""
+
+
+class UsageError(EngineError):
+    """A setting from the environment is malformed (exit code 2)."""
 
 
 def parse_poly(text: str) -> IntPolynomial:
@@ -202,7 +206,7 @@ def _polygon_dict(f, phi, p) -> dict:
         "vertices": [list(v) for v in poly.vertices],
         "principal_vertices": [list(v) for v in poly.principal_vertices],
         "sides": sides,
-        "phi_index": phi_index(f, phi, p),
+        "phi_index": phi.degree * _principal_lattice_count(poly.principal_sides),
         "render": render_polygon(poly),
     }
 
@@ -307,6 +311,8 @@ def _verdict_text(verdict) -> list[str]:
 def _cmd_factor(args) -> tuple:
     f = parse_poly(args.f)
     p = args.p
+    if f.degree < 1:
+        raise EngineError("f must have degree >= 1")
     if not f.is_monic():
         raise EngineError("f must be monic")
     notes = _irreducibility_screen(f)
@@ -506,7 +512,10 @@ def _cmd_sweep(args) -> tuple:
 def _squarefree_bound() -> int:
     env = os.environ.get(ENV_SQUAREFREE_BOUND)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"{ENV_SQUAREFREE_BOUND} must be an integer, got {env!r}") from None
     return DEFAULT_SQUAREFREE_BOUND
 
 
@@ -576,7 +585,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, text, csv_text = args.handler(args)
-    except PolyParseError as exc:
+    except (PolyParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineError as exc:

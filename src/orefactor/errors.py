@@ -56,6 +56,10 @@ class ExcludedM(EngineError):
     """The field parameter m is 0, 1 or -1."""
 
 
+class ExcludedN(EngineError, ValueError):
+    """The field degree n is below 2."""
+
+
 class SquarefreeCheckInconclusive(EngineError):
     """m exceeds the trial-factorization bound and cannot be certified."""
 

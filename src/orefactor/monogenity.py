@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ExcludedM,
+    ExcludedN,
     NotRegular,
     NotSquarefree,
     RepeatedFactor,
@@ -81,7 +82,7 @@ class PureFieldInput:
         if self.m in (-1, 0, 1):
             raise ExcludedM(f"m = {self.m} does not define a pure field here")
         if self.n < 2:
-            raise ValueError("n must be at least 2")
+            raise ExcludedN(f"n must be at least 2 (got n = {self.n})")
         prime_factors_squarefree(self.m, self.squarefree_bound)
 
     def polynomial(self) -> IntPolynomial:

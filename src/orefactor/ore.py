@@ -202,11 +202,7 @@ def ore_index(f: IntPolynomial, p: int):
 
 def is_p_regular(f: IntPolynomial, p: int) -> bool:
     """True iff every residual polynomial of every principal side is squarefree."""
-    for report in _analyze(f, p):
-        for residual in report.residuals:
-            if residual.poly.degree >= 1 and not is_squarefree_ext(residual.poly):
-                return False
-    return True
+    return all(r.residuals_squarefree() for r in _analyze(f, p))
 
 
 def ore_factor(f: IntPolynomial, p: int) -> PrimeFactorization:

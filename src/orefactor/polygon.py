@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ReducibleModulus, ZeroModP
+from .errors import NonMonicModulus, ReducibleModulus, ZeroModP
 from .ffield import ExtPolynomial, FpPolynomial, ResidueField
 from .intpoly import IntPolynomial, phi_expand, vp_poly
 
@@ -116,6 +116,8 @@ def build_polygon(f: IntPolynomial, phi: IntPolynomial, p: int) -> NewtonPolygon
     phi must be monic with irreducible reduction mod p, and f must not
     vanish identically mod p.
     """
+    if not phi.is_monic():
+        raise NonMonicModulus("phi must be monic")
     phibar = FpPolynomial.from_int_poly(phi, p)
     if not phibar.is_irreducible():
         raise ReducibleModulus(f"{phibar} is reducible mod {p}")

@@ -194,6 +194,25 @@ class TestCliCommands:
         monkeypatch.delenv("OREFACTOR_SQUAREFREE_BOUND")
         assert main(["classify", "--m", str(m)]) in (0, 1)
 
+    def test_squarefree_bound_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("OREFACTOR_SQUAREFREE_BOUND", "abc")
+        assert main(["classify", "--m", "33"]) == 2
+        assert "OREFACTOR_SQUAREFREE_BOUND" in capsys.readouterr().err
+
+    def test_constant_f_refused(self, capsys):
+        assert main(["factor", "--f", "1", "--p", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degree" in captured.err
+
+    def test_classify_degree_below_two_refused(self, capsys):
+        assert main(["classify", "--m", "33", "--n", "1", "--mode", "engine"]) == 1
+        assert "n must be at least 2" in capsys.readouterr().err
+
+    def test_non_monic_phi_refused(self, capsys):
+        assert main(["polygon", "--f", "x^12-41", "--phi", "2x-1", "--p", "2"]) == 1
+        assert "phi must be monic" in capsys.readouterr().err
+
     def test_reducible_f_warns_but_runs(self, capsys):
         # (x-1)(x-3) has the rational root screen fire
         assert main(["factor", "--f", "x^2-4*x+3", "--p", "2"]) == 0

@@ -30,6 +30,11 @@ def F9():
     return ResidueField.get(3, fp(3, 1, 0, 1))
 
 
+@pytest.fixture(scope="module")
+def F8():
+    return ResidueField.get(2, fp(2, 1, 1, 0, 1))  # x^3 + x + 1
+
+
 class TestFpPolynomial:
     def test_reduction_and_trim(self):
         assert fp(3, 4, 6, 3).coeffs == (1,)
@@ -172,6 +177,18 @@ class TestResidueField:
         assert F5.order == 5
         assert F5.from_int(7) == F5.from_int(2)
 
+    def test_element_int_is_its_j_polynomial_in_base_p(self, F8, F9):
+        for field in (F8, F9):
+            p = field.p
+            keys = []
+            for digits in itertools.product(range(p), repeat=field.degree):
+                elem = field.element(FpPolynomial(p, digits))
+                expected = sum(c * p**i for i, c in enumerate(digits))
+                assert elem.sort_key() == elem.value == expected
+                assert sum(c * p**i for i, c in enumerate(elem.rep.coeffs)) == expected
+                keys.append(elem.sort_key())
+            assert sorted(keys) == list(range(field.order))
+
     def test_cache_returns_same_object(self):
         a = ResidueField.get(2, fp(2, 1, 1, 1))
         b = ResidueField.get(2, fp(2, 1, 1, 1))
@@ -204,6 +221,22 @@ class TestFactorExt:
             (ExtPolynomial(F4, [j * j, one]), 1),
         ]
 
+    def test_equal_polynomials_hash_equally(self, F4):
+        # the same field built twice, and the same polynomial reached two ways
+        other_F4 = ResidueField(2, fp(2, 1, 1, 1))
+        assert other_F4 is not F4 and other_F4 == F4
+        one, j = F4.one(), F4.gen()
+        g = ExtPolynomial(F4, [one, j, one + j])
+        built = ExtPolynomial(other_F4, [other_F4.one(), other_F4.gen(), other_F4.gen() ** 2])
+        product = ExtPolynomial(F4, [g.leading()])
+        for h, mult in factor_ext(g):
+            for _ in range(mult):
+                product = product * h
+        for same in (built, product):
+            assert same == g
+            assert hash(same) == hash(g)
+        assert len({g, built, product}) == 1
+
     def test_irreducible_quadratic_over_f2(self):
         F2 = ResidueField.prime_field(2)
         g = ExtPolynomial.from_ints(F2, [1, 1, 1])
@@ -225,9 +258,12 @@ class TestFactorExt:
         assert g.derivative().is_zero()
         assert factor_ext(g) == [(base, 3)]
 
-    def test_squarefree_agrees_with_multiplicities(self, F4, F9):
+    def test_squarefree_agrees_with_multiplicities(self, F4, F8, F9):
         rng = random.Random(23)
-        for field in (ResidueField.prime_field(2), ResidueField.prime_field(5), F4, F9):
+        F25 = ResidueField.get(5, fp(5, 2, 0, 1))  # x^2 + 2
+        F27 = ResidueField.get(3, fp(3, 1, 2, 0, 1))  # x^3 + 2x + 1
+        fields = (ResidueField.prime_field(2), ResidueField.prime_field(5), F4, F9, F8, F25, F27)
+        for field in fields:
             for _ in range(40):
                 deg = rng.randint(1, 7)
                 coeffs = [

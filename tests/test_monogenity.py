@@ -1,7 +1,9 @@
 import pytest
 
 from orefactor.errors import (
+    EngineError,
     ExcludedM,
+    ExcludedN,
     NotSquarefree,
     SquarefreeCheckInconclusive,
 )
@@ -22,6 +24,12 @@ class TestInputValidation:
         for m in (-1, 0, 1):
             with pytest.raises(ExcludedM):
                 PureFieldInput(m=m)
+
+    def test_excluded_n(self):
+        for n in (1, 0, -3):
+            with pytest.raises(ExcludedN) as err:
+                PureFieldInput(m=33, n=n)
+            assert isinstance(err.value, EngineError)
 
     def test_not_squarefree(self):
         for m in (4, 12, -18, 50, 121):

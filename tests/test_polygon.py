@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_lattice_count
-from orefactor.errors import ReducibleModulus, ZeroModP
+from orefactor.errors import NonMonicModulus, ReducibleModulus, ZeroModP
 from orefactor.ffield import factor_mod_p
 from orefactor.intpoly import IntPolynomial, phi_expand
 from orefactor.polygon import (
@@ -85,6 +85,11 @@ class TestBuildPolygon:
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ReducibleModulus):
             build_polygon(pure(10), IntPolynomial([1, 0, 1]), 2)  # x^2+1 = (x+1)^2
+
+    def test_rejects_non_monic_phi(self):
+        # 2x - 1 reduces to the constant 1 mod 2; the refusal must name monicity
+        with pytest.raises(NonMonicModulus, match="phi must be monic"):
+            build_polygon(IntPolynomial.pure(12, 41), IntPolynomial([-1, 2]), 2)
 
     def test_rejects_vanishing_f(self):
         with pytest.raises(ZeroModP):
