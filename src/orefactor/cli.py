@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .errors import EngineError, NotRegular, NotSquarefree, PolyParseError
-from .ffield import factor_ext, factor_mod_p
+from .ffield import FpPolynomial, factor_ext, factor_mod_p
 from .intpoly import IntPolynomial
 from .monogenity import (
     DEFAULT_SQUAREFREE_BOUND,
@@ -228,12 +228,8 @@ def _irreducibility_screen(f: IntPolynomial) -> list[str]:
                 )
                 return notes
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        try:
-            factors = factor_mod_p(f, q)
-        except EngineError:
-            continue
-        if len(factors) == 1 and factors[0][1] == 1:
-            return []  # irreducible mod q, hence irreducible over Q
+        if FpPolynomial(q, f.coeffs).is_irreducible():
+            return []  # monic and irreducible mod q, hence irreducible over Q
     notes.append(
         "note: irreducibility of f over Q was screened but not verified; "
         "results assume it"

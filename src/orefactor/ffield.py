@@ -9,8 +9,10 @@ Representation conventions:
   case (modulus x), where the int is the residue itself.
 * ResidueField owns the element operations on those ints (add, sub,
   neg, mul, inverse, pow): plain int arithmetic mod p in F_p, digit
-  vectors reduced through the modulus in F_{p^k}.  The modulus must be
-  monic and irreducible; both are checked eagerly at construction.
+  vectors reduced through the modulus in F_{p^k}.  Inverses are
+  pow(a, -1, p) in F_p and one extended Euclid over F_p against the
+  modulus in F_{p^k}.  The modulus must be monic and irreducible; both
+  are checked eagerly at construction.
 * _FieldPolynomial is the one dense polynomial over a field: a tuple of
   element ints, ascending, trailing zeros trimmed.  Arithmetic, gcd,
   pow_mod, Rabin's irreducibility test and the factorization engine
@@ -20,13 +22,17 @@ Representation conventions:
   coefficients written in j.
 * ResidueFieldElem is the public value type of a single element.
 
-Factor lists are always sorted by (degree, coefficient ints) so every
-run of the engine produces identical output.
+Factoring (factor_ext, factor_mod_p) is squarefree split, distinct-degree
+split, then Cantor-Zassenhaus equal-degree splitting: gcds with
+a^((q^d-1)/2) - 1 for odd q, or with the trace a + a^2 + ... +
+a^(2^(dk-1)) for q = 2^k, over random trials a drawn from a fixed seed.
+Time and memory are polynomial in log q.  Factor lists are always sorted
+by (degree, coefficient ints) so every run of the engine produces
+identical output.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -155,9 +161,22 @@ class ResidueField:
         return value
 
     def inverse(self, a: int) -> int:
+        """a^-1: pow(a, -1, p) in F_p, one extended Euclid over F_p in F_{p^k}."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero residue-field element")
-        return self.pow(a, self.order - 2)
+        p = self.p
+        if self.degree == 1:
+            return pow(a, -1, p)
+        # Keep s * a == r (mod modulus) while r runs down the remainder
+        # sequence of (modulus, a); it ends at a nonzero constant r.
+        r0, r1 = self.modulus, self.modulus._new(self.digits(a))
+        s0, s1 = r1._new(()), r1._new((1,))
+        while r1.degree > 0:
+            quot, rem = divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, s0 - quot * s1
+        scale = pow(r1.coeffs[0], -1, p)
+        return self.from_digits([c * scale for c in s1.coeffs])
 
     def format(self, a: int) -> str:
         return _format_poly(self.digits(a), "j")
@@ -183,14 +202,9 @@ class ResidueField:
         """The image j of x in the residue field."""
         return self.element(FpPolynomial.x(self.p))
 
-    def values(self):
-        """All q element ints, in deterministic order (j-coefficient tuples
-        in lexicographic order)."""
-        return map(self.from_digits, itertools.product(range(self.p), repeat=self.degree))
-
     def elements(self):
-        """All q elements, in the order of values()."""
-        return (ResidueFieldElem(self, v) for v in self.values())
+        """All q elements, in sort_key order (O(q); factoring never calls it)."""
+        return (ResidueFieldElem(self, v) for v in range(self.order))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ResidueField) and self.key == other.key
@@ -530,9 +544,12 @@ def _format_poly(coeffs, var: str, coeff_str=str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# factorization engine (squarefree split + distinct degree + equal degree)
+# factorization engine: squarefree split, distinct-degree split, then
+# Cantor-Zassenhaus equal-degree split on seeded random trials (the trace
+# map in characteristic 2).  Every step costs polylog(q) field operations;
+# no step enumerates field elements.
 
-_EDF_FALLBACK_SEED = 0x0E0F
+_EDF_SEED = 0x0E0F
 
 
 def is_squarefree_ext(g) -> bool:
@@ -596,48 +613,35 @@ def _distinct_degree_split(g):
     return out
 
 
-def _edf_trials(g, max_det_degree: int):
-    """Deterministic low-degree trial polynomials, then seeded random ones."""
-    field = g.field
-    values = list(field.values())
-    for deg in range(1, max_det_degree + 1):
-        lower = list(itertools.product(values, repeat=deg))
-        for lead in values:
-            if lead == 0:
-                continue
-            for tail in lower:
-                yield g._new(tail + (lead,))
-    rng = random.Random(_EDF_FALLBACK_SEED)
-    p = field.p
-    while True:
-        deg = max_det_degree + 1
-        yield g._new(
-            [field.from_digits([rng.randrange(p) for _ in range(field.degree)]) for _ in range(deg + 1)]
-        )
+def _split_equal_degree(g, d: int, rng=None):
+    """Monic product of distinct degree-d irreducibles -> its factors.
 
-
-def _split_equal_degree(g, d: int):
-    """Monic product of distinct degree-d irreducibles -> sorted factor list."""
+    Cantor-Zassenhaus: a random a of degree < deg g gives w = a^((q^d-1)/2) - 1
+    for odd q, or the trace a + a^2 + ... + a^(2^(dk-1)) for q = 2^k, both
+    mod g; gcd(g, w) is a proper factor with probability >= 1/2.  The
+    trials come from one fixed seed per top-level call, so every run
+    draws the same ones.
+    """
     if g.degree == d:
         return [g]
+    if rng is None:
+        rng = random.Random(_EDF_SEED)
     q = g.field.order
     one = g._new((1,))
     half = (q**d - 1) // 2
     trace_len = d * (q.bit_length() - 1) if q % 2 == 0 else 0
-    for trial in _edf_trials(g, max_det_degree=2):
+    while True:
+        a = g._new([rng.randrange(q) for _ in range(g.degree)])
         if q % 2:
-            w = trial.pow_mod(half, g) - one
+            w = a.pow_mod(half, g) - one
         else:
-            acc = trial % g
-            term = trial % g
+            w = term = a
             for _ in range(trace_len - 1):
                 term = term * term % g
-                acc = acc + term
-            w = acc
+                w = w + term
         h = g.gcd(w)
         if 0 < h.degree < g.degree:
-            return _split_equal_degree(h, d) + _split_equal_degree(g // h, d)
-    raise RuntimeError("equal-degree splitting failed")  # pragma: no cover
+            return _split_equal_degree(h, d, rng) + _split_equal_degree(g // h, d, rng)
 
 
 def factor_ext(g):

@@ -10,6 +10,7 @@ is the module-level INFINITY singleton (it compares above every int).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NonMonicModulus, NonPrime
@@ -46,13 +47,22 @@ INFINITY = _PInfinity()
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+# Every composite below this fails Miller-Rabin to some base <= 37; the
+# bound itself, 399165290221 * 798330580441, is the least strong
+# pseudoprime to all twelve of them (Sorenson and Webster, 2015).
+_MR_PROVEN_BELOW = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test.
+    """Primality test: deterministic below 3.18e23, Baillie-PSW above.
 
     Trial division by small primes, then Miller-Rabin with the fixed
-    witness set {2,...,37}, which is deterministic for n < 3.3e24 (in
-    particular for everything below 2^64).  Larger n reuse the same
-    witnesses; at desk scale such inputs do not occur.
+    witness set {2,...,37}, which is deterministic for
+    n < 318,665,857,834,031,151,167,461 (in particular for everything
+    below 2^64).  From that bound on, a strong Lucas test with
+    Selfridge's parameters follows, which together with the base-2
+    Miller-Rabin round is the Baillie-PSW test: no composite is known to
+    pass it.
     """
     if n < 2:
         return False
@@ -73,7 +83,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PROVEN_BELOW or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test, Selfridge method A, for odd n > 37.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d * 2^s, n passes when U_d = 0 or
+    V_(d*2^r) = 0 for some 0 <= r < s (all mod n).
+    """
+    if math.isqrt(n) ** 2 == n:  # no D would ever give (D/n) = -1
+        return False
+    D = 5
+    while (jac := _jacobi(D, n)) != -1:
+        if jac == 0:  # 1 < |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x + n if x % 2 else x) // 2 % n
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _require_prime(p: int) -> None:

@@ -8,8 +8,12 @@ inequalities, and the irreducible-count oracle enumerates polynomials.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,30 @@ from orefactor.intpoly import IntPolynomial, phi_expand
 
 FUZZ_SEED = 20260810
 FUZZ_PRIMES = (2, 3, 5, 7, 11, 13)
+
+_TESTS = Path(__file__).resolve().parent
+
+
+def run_snippet(code: str, timeout: float = 20.0) -> subprocess.CompletedProcess:
+    """Run Python code in a fresh interpreter that imports from src/ and tests/.
+
+    A snippet still running after `timeout` seconds fails the calling
+    test, so a search that never ends cannot stall the suite.  The
+    caller checks returncode, stdout and stderr.
+    """
+    path = os.pathsep.join(
+        [str(_TESTS.parent / "src"), str(_TESTS), os.environ.get("PYTHONPATH", "")]
+    )
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"snippet did not finish within {timeout:g} s:\n{code}")
 
 
 def sylvester_resultant(f: IntPolynomial, g: IntPolynomial) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_squarefree_int
+from conftest import is_squarefree_int, run_snippet
 from orefactor.cli import (
     NonIntegerCoefficient,
     main,
@@ -180,6 +180,25 @@ class TestCliCommands:
 
     def test_exit_code_nonprime(self, capsys):
         assert main(["factor", "--f", "x^2+1", "--p", "6"]) == 1
+
+    def test_factor_mod_large_prime(self):
+        proc = run_snippet(
+            "import sys\n"
+            "from orefactor.cli import main\n"
+            "sys.exit(main(['factor', '--f', 'x^2-3x+2', '--p', '1000000007', '--format', 'json']))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        phis = [row["phi"] for row in json.loads(proc.stdout)["results"]["factor_mod_p"]]
+        assert phis == ["x + 1000000005", "x + 1000000006"]
+
+    def test_pseudoprime_beyond_miller_rabin_bound_refused(self):
+        proc = run_snippet(
+            "import sys\n"
+            "from orefactor.cli import main\n"
+            "sys.exit(main(['factor', '--f', 'x^2-3x+2', '--p', '3317044064679887385961981']))"
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "is not prime" in proc.stderr
 
     def test_reducible_phi_domain_error(self, capsys):
         assert main(["polygon", "--f", "x^12-10", "--phi", "x^2+1", "--p", "2"]) == 1

@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from conftest import run_snippet
 from orefactor.errors import NonPrime, ReducibleModulus, ZeroModP
 from orefactor.ffield import (
     ExtPolynomial,
@@ -131,6 +133,40 @@ class TestFactorModP:
             for (h1, _), (h2, _) in itertools.combinations(factors, 2):
                 assert h1.gcd(h2).degree == 0
 
+    def test_mod_2_product_of_two_quintics_returns(self):
+        # x^12 + x^7 + x^5 + x^4 + x^3 + x^2 + x + 1: no trial of degree <= 3
+        # separates its two quintic factors
+        proc = run_snippet(
+            "from orefactor import IntPolynomial, factor_mod_p\n"
+            "f = IntPolynomial([1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1])\n"
+            "print([(h.coeffs, m) for h, m in factor_mod_p(f, 2)])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(
+            [((1, 1), 2), ((1, 0, 1, 0, 0, 1), 1), ((1, 1, 1, 1, 0, 1), 1)]
+        )
+
+    @pytest.mark.parametrize("p", [10**9 + 7, 2**61 - 1])
+    def test_split_quadratic_mod_large_p(self, p):
+        # time and memory polynomial in log p: x^2 - 3x + 2 = (x - 1)(x - 2)
+        proc = run_snippet(
+            "import json, time, tracemalloc\n"
+            "from orefactor import FpPolynomial, IntPolynomial, factor_ext, factor_mod_p\n"
+            f"p = {p}\n"
+            "start = time.perf_counter()\n"
+            "factors = factor_mod_p(IntPolynomial([2, -3, 1]), p)\n"
+            "seconds = time.perf_counter() - start\n"
+            "tracemalloc.start()\n"
+            "factor_ext(FpPolynomial(p, [2, -3, 1]))\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "print(json.dumps([[(h.coeffs, m) for h, m in factors], seconds, peak]))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        factors, seconds, peak = json.loads(proc.stdout)
+        assert factors == [[[p - 2, 1], 1], [[p - 1, 1], 1]]
+        assert seconds < 1.0
+        assert peak < 1_000_000
+
     def test_deterministic_sorted_output(self):
         f = IntPolynomial.pure(12, 10)
         first = factor_mod_p(f, 3)
@@ -188,6 +224,23 @@ class TestResidueField:
                 assert sum(c * p**i for i, c in enumerate(elem.rep.coeffs)) == expected
                 keys.append(elem.sort_key())
             assert sorted(keys) == list(range(field.order))
+
+    def test_inverse_of_every_element(self, F8, F9):
+        F25 = ResidueField.get(5, fp(5, 2, 0, 1))  # x^2 + 2
+        for field in (F8, F9, F25):
+            for a in range(1, field.order):
+                inv = field.inverse(a)
+                assert field.mul(a, inv) == 1
+                assert inv == field.pow(a, field.order - 2)  # Fermat
+
+    def test_inverse_in_large_extension(self):
+        field = ResidueField.get(101, fp(101, -2, 0, 0, 0, 0, 1))  # x^5 - 2
+        rng = random.Random(5)
+        for _ in range(200):
+            a = rng.randrange(1, field.order)
+            assert field.mul(a, field.inverse(a)) == 1
+        with pytest.raises(ZeroDivisionError):
+            field.inverse(0)
 
     def test_cache_returns_same_object(self):
         a = ResidueField.get(2, fp(2, 1, 1, 1))
@@ -283,6 +336,50 @@ class TestFactorExt:
                         product = product * h
                 assert product == g
                 assert is_squarefree_ext(g) == all(m == 1 for _, m in factors)
+
+
+def _monic_irreducibles(field, d, rng, tries=60):
+    """Distinct monic irreducibles of degree d over field, from random candidates."""
+    found = set()
+    for _ in range(tries):
+        h = ExtPolynomial._make(field, [rng.randrange(field.order) for _ in range(d)] + [1])
+        if h.is_irreducible():
+            found.add(h)
+    return sorted(found, key=lambda h: h.sort_key())
+
+
+def check_equal_degree_products():
+    """Products of 1-4 distinct monic irreducibles of one degree d factor back exactly.
+
+    Characteristic 2 (F_2, F_4, F_8) takes the trace branch of the
+    equal-degree split, odd characteristic (F_3, F_9, F_25) the power
+    branch; F_4, F_8, F_9 and F_25 are extension fields.
+    """
+    rng = random.Random(31)
+    fields = [
+        ResidueField.prime_field(2),
+        ResidueField.prime_field(3),
+        ResidueField.get(2, fp(2, 1, 1, 1)),  # F_4
+        ResidueField.get(2, fp(2, 1, 1, 0, 1)),  # F_8
+        ResidueField.get(3, fp(3, 1, 0, 1)),  # F_9
+        ResidueField.get(5, fp(5, 2, 0, 1)),  # F_25
+    ]
+    for field in fields:
+        for d in (1, 2, 3):
+            irreducibles = _monic_irreducibles(field, d, rng)
+            for _ in range(4):
+                chosen = rng.sample(irreducibles, rng.randint(1, min(4, len(irreducibles))))
+                g = ExtPolynomial.from_ints(field, [1])
+                for h in chosen:
+                    g = g * h
+                expected = [(h, 1) for h in sorted(chosen, key=lambda h: h.sort_key())]
+                assert factor_ext(g) == expected, (field, d, str(g))
+
+
+class TestEqualDegreeSplit:
+    def test_products_of_irreducibles_factor_back(self):
+        proc = run_snippet("import test_ffield; test_ffield.check_equal_degree_products()")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCountMonicIrreducibles:

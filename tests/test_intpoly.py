@@ -238,3 +238,15 @@ class TestPrimality:
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
         assert is_prime(1000003)
+
+    def test_beyond_the_miller_rabin_bound(self):
+        # the least strong pseudoprime to every base <= 37, and to every base <= 41
+        assert not is_prime(318665857834031151167461)
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert not is_prime(3317044064679887385961981)
+        assert 1287836182261 * 2575672364521 == 3317044064679887385961981
+        assert not is_prime(2**127 + 1)
+        assert is_prime(2**89 - 1)
+        assert is_prime(2**127 - 1)
+        assert not is_prime((2**89 - 1) * (2**61 - 1))
+        assert not is_prime((2**61 - 1) ** 2)
