@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .errors import EngineError, NotRegular, NotSquarefree, PolyParseError
-from .ffield import FpPolynomial, factor_ext, factor_mod_p
+from .ffield import FpPolynomial, factor_ext
 from .intpoly import IntPolynomial
 from .monogenity import (
     DEFAULT_SQUAREFREE_BOUND,
@@ -29,8 +29,8 @@ from .monogenity import (
     classify_theorem,
     prime_factors_squarefree,
 )
-from .ore import dedekind_test, ore_factor
-from .polygon import _principal_lattice_count, build_polygon, render_polygon, residual_polynomial
+from .ore import _analyze, _factorization, dedekind_test
+from .polygon import _expand, _polygon, _principal_lattice_count, _residual, render_polygon
 
 ENV_SQUAREFREE_BOUND = "OREFACTOR_SQUAREFREE_BOUND"
 _MAX_EXPONENT = 100_000
@@ -176,11 +176,10 @@ def _verdict_dict(verdict) -> dict:
     }
 
 
-def _polygon_dict(f, phi, p) -> dict:
-    poly = build_polygon(f, phi, p)
+def _polygon_dict(poly, residuals, residual_factors) -> dict:
     sides = []
-    for side in poly.principal_sides:
-        residual = residual_polynomial(f, phi, p, side)
+    for residual, factors in zip(residuals, residual_factors):
+        side = residual.side
         sides.append(
             {
                 "start": list(side.start),
@@ -195,18 +194,18 @@ def _polygon_dict(f, phi, p) -> dict:
                     "unit": str(residual.poly.leading()),
                     "factors": [
                         {"factor": str(psi), "multiplicity": mult}
-                        for psi, mult in factor_ext(residual.poly)
+                        for psi, mult in factors
                     ],
                 },
             }
         )
     return {
-        "phi": str(phi),
+        "phi": str(poly.phi),
         "points": [list(pt) for pt in poly.points],
         "vertices": [list(v) for v in poly.vertices],
         "principal_vertices": [list(v) for v in poly.principal_vertices],
         "sides": sides,
-        "phi_index": phi.degree * _principal_lattice_count(poly.principal_sides),
+        "phi_index": poly.phi.degree * _principal_lattice_count(poly.principal_sides),
         "render": render_polygon(poly),
     }
 
@@ -313,8 +312,9 @@ def _cmd_factor(args) -> tuple:
         raise EngineError("f must be monic")
     notes = _irreducibility_screen(f)
     verdict = dedekind_test(f, p)
-    factors = factor_mod_p(f, p)
-    polygons = [_polygon_dict(f, phibar.lift(), p) for phibar, _ in factors]
+    reports = _analyze(f, p)
+    factors = [(r.phibar, r.multiplicity) for r in reports]
+    polygons = [_polygon_dict(r.polygon, r.residuals, r.residual_factors) for r in reports]
     results: dict = {
         "dedekind": {
             "divides_index": verdict.divides_index,
@@ -359,7 +359,7 @@ def _cmd_factor(args) -> tuple:
         text.append(f"  phi-index: {pd['phi_index']}")
         text.append(pd["render"])
     try:
-        rep = ore_factor(f, p)
+        rep = _factorization(reports, f.degree, p)
         results["factorization"] = _factorization_dict(rep)
         text.append("prime ideals above p (e = ramification index, f = residue degree):")
         for ideal in rep.ideals:
@@ -390,7 +390,10 @@ def _cmd_polygon(args) -> tuple:
     f = parse_poly(args.f)
     phi = parse_poly(args.phi)
     p = args.p
-    pd = _polygon_dict(f, phi, p)
+    expansion, field = _expand(f, phi, p)
+    poly = _polygon(expansion, p)
+    residuals = [_residual(expansion, field, side) for side in poly.principal_sides]
+    pd = _polygon_dict(poly, residuals, [factor_ext(r.poly) for r in residuals])
     report = _report(
         "polygon", {"f": str(f), "phi": str(phi), "p": str(p)}, pd
     )

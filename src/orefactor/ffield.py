@@ -415,7 +415,9 @@ class _FieldPolynomial:
         return result
 
     def is_irreducible(self) -> bool:
-        """Rabin's test: deterministic for any field and degree."""
+        """Rabin's test, deterministic for any field and degree: one chain
+        w_i = x^(q^i) mod g, i = 1..n, checks gcd(g, w_(n/r) - x) = 1 for
+        each prime r | n, and w_n = x."""
         n = self.degree
         if n < 1:
             return False
@@ -424,18 +426,13 @@ class _FieldPolynomial:
         q = self.field.order
         g = self.monic()
         x = self._new((0, 1))
+        checks = {n // r for r in _prime_divisors(n)}
         w = x
-        for _ in range(n):
+        for i in range(1, n + 1):
             w = w.pow_mod(q, g)
-        if w != x % g:
-            return False
-        for r in _prime_divisors(n):
-            w = x
-            for _ in range(n // r):
-                w = w.pow_mod(q, g)
-            if g.gcd(w - x).degree != 0:
+            if i in checks and g.gcd(w - x).degree != 0:
                 return False
-        return True
+        return w == x
 
 
 class FpPolynomial(_FieldPolynomial):

@@ -196,7 +196,7 @@ def classify_engine(
     common = dict(
         m=m,
         n=n,
-        per_prime_reports=tuple(reports[p] for p in sorted(reports)),
+        per_prime_reports=tuple([reports[p] for p in sorted(reports)]),
         index_valuations=tuple(valuations),
         notes=tuple(notes),
     )

@@ -9,6 +9,12 @@ Three routes, increasingly powerful:
   valid whenever f is p-regular, and then also certifies the exact
   p-valuation of the index.
 
+ore_factor, ore_index and is_p_regular all read one analysis per (f, p),
+_analyze: for each factor phi of f mod p it expands f in base phi once,
+fetches the field F_phi once and factors each residual polynomial once.
+The only irreducibility test of phi runs in ResidueField, when the field
+is built; factor_mod_p's factors are not tested again.
+
 Irreducibility of f over Q is the caller's obligation throughout; it is
 assumed, not verified.  Inputs that are visibly incompatible with it
 (f divisible by the square of a lifted factor) raise RepeatedFactor.
@@ -20,20 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexDivisible, NonMonicModulus, NotRegular, RepeatedFactor
-from .ffield import (
-    ExtPolynomial,
-    FpPolynomial,
-    factor_ext,
-    factor_mod_p,
-    is_squarefree_ext,
-)
+from .ffield import ExtPolynomial, FpPolynomial, ResidueField, factor_ext, factor_mod_p
 from .intpoly import IntPolynomial, phi_expand
-from .polygon import (
-    NewtonPolygon,
-    _principal_lattice_count,
-    build_polygon,
-    residual_polynomial,
-)
+from .polygon import NewtonPolygon, _polygon, _principal_lattice_count, _residual
 
 
 @dataclass(frozen=True)
@@ -149,10 +144,11 @@ class _PhiReport:
     exact_power: int  # 1 if the lift of phi divides f over Z, else 0
     polygon: NewtonPolygon
     residuals: tuple
+    residual_factors: tuple  # factor_ext of each residual, in side order
     index: int
 
     def residuals_squarefree(self) -> bool:
-        return all(is_squarefree_ext(r.poly) for r in self.residuals)
+        return all(mult == 1 for fs in self.residual_factors for _, mult in fs)
 
 
 def _analyze(f: IntPolynomial, p: int):
@@ -170,11 +166,9 @@ def _analyze(f: IntPolynomial, p: int):
                 f"f is divisible by ({lift})^{exact_power} over Z; "
                 "no squarefree p-adic factorization exists"
             )
-        poly = build_polygon(f, lift, p)
-        residuals = tuple(
-            residual_polynomial(f, lift, p, side) for side in poly.principal_sides
-        )
-        index = lift.degree * _principal_lattice_count(poly.principal_sides)
+        field = ResidueField.get(p, phibar)
+        poly = _polygon(expansion, p)
+        residuals = tuple([_residual(expansion, field, s) for s in poly.principal_sides])
         reports.append(
             _PhiReport(
                 phibar=phibar,
@@ -182,7 +176,8 @@ def _analyze(f: IntPolynomial, p: int):
                 exact_power=exact_power,
                 polygon=poly,
                 residuals=residuals,
-                index=index,
+                residual_factors=tuple([factor_ext(r.poly) for r in residuals]),
+                index=lift.degree * _principal_lattice_count(poly.principal_sides),
             )
         )
     return reports
@@ -213,7 +208,11 @@ def ore_factor(f: IntPolynomial, p: int) -> PrimeFactorization:
     NotRegular (carrying the index lower bound) when some residual
     polynomial has a repeated factor.
     """
-    reports = _analyze(f, p)
+    return _factorization(_analyze(f, p), f.degree, p)
+
+
+def _factorization(reports, degree: int, p: int) -> PrimeFactorization:
+    """ore_factor's answer from the reports of _analyze(f, p)."""
     total_index = sum(r.index for r in reports)
     ideals = []
     for report in reports:
@@ -222,8 +221,7 @@ def ore_factor(f: IntPolynomial, p: int) -> PrimeFactorization:
             ideals.append(
                 PrimeIdealData(phi=report.phibar, e=1, f=report.phibar.degree)
             )
-        for residual in report.residuals:
-            factors = factor_ext(residual.poly)
+        for residual, factors in zip(report.residuals, report.residual_factors):
             if any(mult > 1 for _, mult in factors):
                 raise NotRegular(
                     f"residual polynomial {residual.poly} is not squarefree at "
@@ -240,7 +238,7 @@ def ore_factor(f: IntPolynomial, p: int) -> PrimeFactorization:
                         residual_factor=psi,
                     )
                 )
-    _check_fundamental_identity(ideals, f.degree)
+    _check_fundamental_identity(ideals, degree)
     return PrimeFactorization(
         p=p,
         ideals=tuple(ideals),

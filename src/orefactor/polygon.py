@@ -2,9 +2,9 @@
 
 For f = sum a_i * phi^i the polygon is the lower convex envelope of the
 points (i, v_p(a_i)) with a_i != 0.  Slopes are exact Fractions; nothing
-here is ever rounded.  The principal part (negative slopes only) drives
-index counting and prime-ideal splitting; zero-slope tails are kept on
-the full polygon for inspection but never consumed downstream.
+here is ever rounded.  The principal part (negative slopes only), found
+and counted in integers, drives index counting and prime-ideal splitting;
+zero-slope tails are kept on the full polygon but never consumed downstream.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonMonicModulus, ReducibleModulus, ZeroModP
+from .errors import NonMonicModulus, ZeroModP
 from .ffield import ExtPolynomial, FpPolynomial, ResidueField
 from .intpoly import IntPolynomial, phi_expand, vp_poly
 
@@ -110,29 +110,40 @@ def _lower_hull(points):
     return hull
 
 
+def _expand(f: IntPolynomial, phi: IntPolynomial, p: int):
+    """The phi-expansion of f and the field F_phi, after refusing a bad phi.
+
+    ResidueField.get runs the irreducibility test, once per field it
+    builds; a cached field is not tested again.
+    """
+    if not phi.is_monic():
+        raise NonMonicModulus("phi must be monic")
+    field = ResidueField.get(p, FpPolynomial.from_int_poly(phi, p))
+    return phi_expand(f, phi), field
+
+
+def _polygon(expansion, p: int) -> NewtonPolygon:
+    """Newton polygon from an expansion of f (f is 0 mod p iff every term is)."""
+    points = tuple(
+        [(i, vp_poly(a, p)) for i, a in enumerate(expansion.terms) if not a.is_zero()]
+    )
+    if not points or min(y for _, y in points) != 0:
+        raise ZeroModP(f"polynomial vanishes identically mod {p}")
+    hull = _lower_hull(points)
+    sides = tuple([Side(hull[k], hull[k + 1]) for k in range(len(hull) - 1)])
+    principal = tuple([s for s in sides if s.end[1] < s.start[1]])
+    return NewtonPolygon(
+        phi=expansion.phi, p=p, points=points, sides=sides, principal_sides=principal
+    )
+
+
 def build_polygon(f: IntPolynomial, phi: IntPolynomial, p: int) -> NewtonPolygon:
     """Newton polygon of f with respect to phi and p.
 
     phi must be monic with irreducible reduction mod p, and f must not
     vanish identically mod p.
     """
-    if not phi.is_monic():
-        raise NonMonicModulus("phi must be monic")
-    phibar = FpPolynomial.from_int_poly(phi, p)
-    if not phibar.is_irreducible():
-        raise ReducibleModulus(f"{phibar} is reducible mod {p}")
-    if vp_poly(f, p) != 0:
-        raise ZeroModP(f"polynomial vanishes identically mod {p}")
-    expansion = phi_expand(f, phi)
-    points = tuple(
-        (i, vp_poly(a, p)) for i, a in enumerate(expansion.terms) if not a.is_zero()
-    )
-    hull = _lower_hull(points)
-    sides = tuple(Side(hull[k], hull[k + 1]) for k in range(len(hull) - 1))
-    principal = tuple(s for s in sides if s.slope < 0)
-    return NewtonPolygon(
-        phi=phi, p=p, points=points, sides=sides, principal_sides=principal
-    )
+    return _polygon(_expand(f, phi, p)[0], p)
 
 
 @dataclass(frozen=True)
@@ -150,22 +161,27 @@ class ResidualPolynomial:
 def residual_polynomial(
     f: IntPolynomial, phi: IntPolynomial, p: int, side: Side
 ) -> ResidualPolynomial:
-    """Degree-d polynomial over F_phi attached to a principal side.
+    """Degree-d polynomial over F_phi attached to a principal side."""
+    expansion, field = _expand(f, phi, p)
+    return _residual(expansion, field, side)
+
+
+def _residual(expansion, field: ResidueField, side: Side) -> ResidualPolynomial:
+    """The residual polynomial of side, read off the expansion of f.
 
     Coefficient t_i comes from the expansion term at the i-th integer
     point of the side: terms on the side are divided by the exact power
     of p and reduced mod (p, phi); points strictly above contribute 0.
     """
-    phibar = FpPolynomial.from_int_poly(phi, p)
-    field = ResidueField.get(p, phibar)
-    expansion = phi_expand(f, phi)
+    p = field.p
+    terms = expansion.terms
     s, u_s = side.start
     step_h = side.height // side.degree
     coeffs = []
     for t in range(side.degree + 1):
         idx = s + t * side.e
         y = u_s - t * step_h
-        a = expansion.terms[idx] if idx < len(expansion.terms) else IntPolynomial([])
+        a = terms[idx] if idx < len(terms) else IntPolynomial([])
         v = vp_poly(a, p)
         if v == y:
             scaled = IntPolynomial([c // p**y for c in a.coeffs])
@@ -181,13 +197,14 @@ def residual_polynomial(
 
 
 def _principal_lattice_count(principal_sides) -> int:
-    """Lattice points (x>=1, y>=1) on or below the principal polygon."""
+    """Lattice points (x>=1, y>=1) on or below the principal polygon, in integers."""
     count = 0
     for k, side in enumerate(principal_sides):
-        x_first = side.start[0] if k == 0 else side.start[0] + 1
-        for x in range(max(1, x_first), side.end[0] + 1):
-            y = side.y_at(x)
-            count += max(0, y.numerator // y.denominator)
+        (x0, y0), (x1, y1) = side.start, side.end
+        length, height = x1 - x0, y0 - y1
+        x_first = x0 if k == 0 else x0 + 1
+        for x in range(max(1, x_first), x1 + 1):
+            count += max(0, (y0 * length - height * (x - x0)) // length)
     return count
 
 

@@ -382,6 +382,37 @@ class TestEqualDegreeSplit:
         assert proc.returncode == 0, proc.stderr
 
 
+def _necklace_count(q, d):
+    """(1/d) * sum over e | d of mu(e) * q^(d/e), with mu by trial division."""
+
+    def mobius(n):
+        sign, k = 1, 2
+        while n > 1:
+            if n % k == 0:
+                n //= k
+                if n % k == 0:
+                    return 0
+                sign = -sign
+            k += 1
+        return sign
+
+    return sum(mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+
+
+class TestRabinExhaustive:
+    def test_extension_fields(self, F4, F9):
+        """Over F_q, Rabin's test accepts as many monic polynomials of
+        degree d as the necklace count of monic irreducibles."""
+        for field in (F4, F9):
+            elements = list(field.elements())
+            for d in (1, 2, 3):
+                accepted = sum(
+                    ExtPolynomial(field, list(tail) + [field.one()]).is_irreducible()
+                    for tail in itertools.product(elements, repeat=d)
+                )
+                assert accepted == _necklace_count(field.order, d), (field, d)
+
+
 class TestCountMonicIrreducibles:
     def test_examples(self):
         assert count_monic_irreducibles(2, 2) == 1
@@ -390,8 +421,8 @@ class TestCountMonicIrreducibles:
         assert count_monic_irreducibles(2, 1) == 2
 
     def test_against_exhaustive_enumeration(self):
-        for p in (2, 3, 5, 7):
-            for d in (1, 2, 3, 4):
+        for p, max_degree in ((2, 8), (3, 5), (5, 4), (7, 4)):
+            for d in range(1, max_degree + 1):
                 expected = sum(
                     1
                     for tail in itertools.product(range(p), repeat=d)

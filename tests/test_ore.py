@@ -1,7 +1,12 @@
+import sys
+from collections import Counter
+
 import pytest
 
+from conftest import run_snippet
+from orefactor import cli, intpoly
 from orefactor.errors import IndexDivisible, NotRegular, RepeatedFactor
-from orefactor.ffield import factor_mod_p
+from orefactor.ffield import ResidueField, _FieldPolynomial, factor_mod_p
 from orefactor.intpoly import IntPolynomial
 from orefactor.ore import (
     dedekind_test,
@@ -212,3 +217,89 @@ class TestTameDiscriminantIdentity:
                 assert disc_val == conductor + 2 * rep.index_valuation, (m, p)
                 checked += 1
         assert checked > 150
+
+
+class TestOneAnalysisPerPrime:
+    """Each route expands f once per phi and, from an empty field cache,
+    certifies each phi exactly once."""
+
+    PATHS = {
+        "ore_factor": ore_factor,
+        "ore_index": ore_index,
+        "is_p_regular": is_p_regular,
+        "cli factor": lambda f, p: cli.main(["factor", "--f", str(f), "--p", str(p)]),
+        "cli factor json": lambda f, p: cli.main(
+            ["factor", "--f", str(f), "--p", str(p), "--format", "json"]
+        ),
+    }
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        expanded, certified = Counter(), Counter()
+        phi_expand = intpoly.phi_expand
+        is_irreducible = _FieldPolynomial.is_irreducible
+
+        def counted_expand(f, phi):
+            expanded[phi.coeffs] += 1
+            return phi_expand(f, phi)
+
+        def counted_irreducible(g):
+            certified[(g.field.key, g.coeffs)] += 1
+            return is_irreducible(g)
+
+        for name, module in list(sys.modules.items()):
+            if name == "orefactor" or name.startswith("orefactor."):
+                for attr, value in list(vars(module).items()):
+                    if value is phi_expand:
+                        monkeypatch.setattr(module, attr, counted_expand)
+        monkeypatch.setattr(_FieldPolynomial, "is_irreducible", counted_irreducible)
+        monkeypatch.setattr(ResidueField, "_cache", {})
+        return expanded, certified
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_x12_minus_13(self, counters, capsys, path, p):
+        expanded, certified = counters
+        f = pure(13)
+        self.PATHS[path](f, p)
+        phis = [phibar for phibar, _ in factor_mod_p(f, p)]
+        assert expanded == Counter(phibar.lift().coeffs for phibar in phis)
+        for phibar in phis:
+            assert certified[(phibar.field.key, phibar.coeffs)] == 1, str(phibar)
+
+
+def test_allocated_blocks_stay_flat():
+    """A long run of the engine leaves no growing heap behind it.
+
+    Before tuple([...]) replaced tuple(<generator>) on the hot paths,
+    CPython 3.11 kept refilling every tuple free list but the one of
+    size 10, and this count grew by about 5,000 blocks.
+    """
+    proc = run_snippet(
+        """
+import random, sys
+from orefactor import IntPolynomial, NotRegular, RepeatedFactor, dedekind_test, ore_factor
+
+rng = random.Random(20261018)
+
+def case():
+    degree = rng.randint(1, 12)
+    f = IntPolynomial([rng.randint(-40, 40) for _ in range(degree)] + [1])
+    p = rng.choice((3, 5, 7, 11, 13))
+    dedekind_test(f, p)
+    try:
+        ore_factor(f, p)
+    except (NotRegular, RepeatedFactor):
+        pass
+
+for _ in range(1000):
+    case()
+before = sys.getallocatedblocks()
+for _ in range(3000):
+    case()
+print(sys.getallocatedblocks() - before)
+""",
+        timeout=90,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1500

@@ -11,6 +11,7 @@ from orefactor.ffield import factor_mod_p
 from orefactor.intpoly import IntPolynomial, phi_expand
 from orefactor.polygon import (
     Side,
+    _principal_lattice_count,
     build_polygon,
     phi_index,
     render_polygon,
@@ -231,6 +232,24 @@ class TestPhiIndex:
                 assert phi_index(f, lift, p) == lift.degree * brute_force_lattice_count(
                     poly.principal_sides
                 )
+
+
+class TestIntegerPolygon:
+    """The integer principal-side test and lattice count against Fractions."""
+
+    @given(
+        st.lists(st.integers(-200, 200), min_size=0, max_size=12),
+        st.sampled_from([2, 3, 5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle(self, tail, p):
+        f = IntPolynomial(tail + [1])
+        for phibar, _ in factor_mod_p(f, p):
+            poly = build_polygon(f, phibar.lift(), p)
+            assert poly.principal_sides == tuple(s for s in poly.sides if s.slope < 0)
+            assert _principal_lattice_count(
+                poly.principal_sides
+            ) == brute_force_lattice_count(poly.principal_sides)
 
 
 class TestRender:
