@@ -25,9 +25,11 @@ from .ffield import FpPolynomial, factor_ext
 from .intpoly import IntPolynomial
 from .monogenity import (
     DEFAULT_SQUAREFREE_BOUND,
+    PureFieldInput,
+    _classify_engine,
+    _classify_theorem,
     classify_engine,
     classify_theorem,
-    prime_factors_squarefree,
 )
 from .ore import _analyze, _factorization, dedekind_test
 from .polygon import _expand, _polygon, _principal_lattice_count, _residual, render_polygon
@@ -445,7 +447,7 @@ def _cmd_sweep(args) -> tuple:
         if args.mod9 is not None and m % 9 != args.mod9:
             continue
         try:
-            prime_factors_squarefree(m, bound)
+            inp = PureFieldInput(m=m, squarefree_bound=bound)
         except NotSquarefree:
             continue
         row = {
@@ -462,10 +464,10 @@ def _cmd_sweep(args) -> tuple:
         }
         theorem = engine = None
         if args.mode in ("theorem", "both"):
-            theorem = classify_theorem(m)
+            theorem = _classify_theorem(inp)
             row["status_theorem"] = theorem.status.name
         if args.mode in ("engine", "both"):
-            engine = classify_engine(m, squarefree_bound=bound)
+            engine = _classify_engine(inp)
             row["status_engine"] = engine.status.name
             if engine.witness is not None:
                 p, fdeg, count, nf = engine.witness

@@ -26,14 +26,18 @@ Factoring (factor_ext, factor_mod_p) is squarefree split, distinct-degree
 split, then Cantor-Zassenhaus equal-degree splitting: gcds with
 a^((q^d-1)/2) - 1 for odd q, or with the trace a + a^2 + ... +
 a^(2^(dk-1)) for q = 2^k, over random trials a drawn from a fixed seed.
-Time and memory are polynomial in log q.  Factor lists are always sorted
-by (degree, coefficient ints) so every run of the engine produces
-identical output.
+The distinct-degree split and Rabin's test exponentiate once per modulus
+g, to x^q mod g; Frobenius is linear, so every further x^(q^i) mod g is a
+matrix-vector product (_frobenius).  Time and memory are polynomial in
+log q.  Factor lists are always sorted by (degree, coefficient ints) so
+every run of the engine produces identical output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 
 from .errors import NonMonicModulus, NonPrime, ReducibleModulus, ZeroModP
@@ -417,19 +421,20 @@ class _FieldPolynomial:
     def is_irreducible(self) -> bool:
         """Rabin's test, deterministic for any field and degree: one chain
         w_i = x^(q^i) mod g, i = 1..n, checks gcd(g, w_(n/r) - x) = 1 for
-        each prime r | n, and w_n = x."""
+        each prime r | n, and w_n = x.  Only w_1 = x^q is an exponentiation;
+        each later step applies the Frobenius matrix of g (_frobenius)."""
         n = self.degree
         if n < 1:
             return False
         if n == 1:
             return True
-        q = self.field.order
         g = self.monic()
+        frobenius = _frobenius(g)
         x = self._new((0, 1))
         checks = {n // r for r in _prime_divisors(n)}
         w = x
         for i in range(1, n + 1):
-            w = w.pow_mod(q, g)
+            w = frobenius(w)
             if i in checks and g.gcd(w - x).degree != 0:
                 return False
         return w == x
@@ -502,6 +507,36 @@ class ExtPolynomial(_FieldPolynomial):
 
     def __repr__(self) -> str:
         return f"ExtPolynomial('{self}' over {self.field!r})"
+
+
+def _x_power(e: int, g):
+    """x^e mod monic g, left to right: square per bit, shift by x per set bit."""
+    r = g._new((1,))
+    for bit in bin(e)[2:]:
+        r = r * r % g
+        if bit == "1":
+            r = r._new((0,) + r.coeffs) % g
+    return r
+
+
+def _frobenius(g):
+    """w -> w^q mod g for deg w < n = deg g, as a matrix-vector product.
+
+    Frobenius is F_q-linear: (sum w_i x^i)^q = sum w_i x^(q*i).  One
+    exponentiation x^q mod g gives the rows x^(q*i) mod g, i < n
+    (Berlekamp's Q-matrix); each application then costs n^2 field operations.
+    """
+    n, field = g.degree, g.field
+    xq = _x_power(field.order, g)
+    rows = [g._new((1,))]
+    while len(rows) < n:
+        rows.append(rows[-1] * xq % g)
+    cols = list(zip(*[r.coeffs + (0,) * (n - len(r.coeffs)) for r in rows]))
+    if field.degree == 1:
+        p = field.p
+        return lambda w: g._new([sum(map(operator.mul, w.coeffs, c)) % p for c in cols])
+    add, mul = field.add, field.mul
+    return lambda w: g._new([functools.reduce(add, map(mul, w.coeffs, c), 0) for c in cols])
 
 
 def _prime_divisors(n: int):
@@ -590,21 +625,22 @@ def _squarefree_split(g):
 
 
 def _distinct_degree_split(g):
-    """Monic squarefree g -> list of (product of irreducibles of degree d, d)."""
-    q = g.field.order
-    y = g._new((0, 1))
+    """Monic squarefree g -> list of (product of irreducibles of degree d, d);
+    w = y^(q^d) mod g costs one Frobenius product per d, and since rest | g,
+    w % rest is y^(q^d) mod rest."""
     out = []
-    w = y % g
     rest = g
-    d = 0
-    while rest.degree >= 2 * (d + 1):
-        d += 1
-        w = w.pow_mod(q, rest)
-        h = rest.gcd(w - y)
-        if h.degree > 0:
-            out.append((h, d))
-            rest = rest // h
-            w = w % rest
+    if g.degree >= 2:
+        frobenius = _frobenius(g)
+        y = w = g._new((0, 1))
+        d = 0
+        while rest.degree >= 2 * (d + 1):
+            d += 1
+            w = frobenius(w)
+            h = rest.gcd(w % rest - y)
+            if h.degree > 0:
+                out.append((h, d))
+                rest = rest // h
     if rest.degree > 0:
         out.append((rest, rest.degree))
     return out

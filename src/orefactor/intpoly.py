@@ -318,6 +318,11 @@ def vp_int(n: int, p: int):
 def vp_poly(P: IntPolynomial, p: int):
     """Gauss extension: minimum of vp_int over the coefficients."""
     _require_prime(p)
+    return _vp_poly(P, p)
+
+
+def _vp_poly(P: IntPolynomial, p: int):
+    """vp_poly for a p already certified prime (no primality test)."""
     if P.is_zero():
         return INFINITY
     best = INFINITY

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ExcludedM,
@@ -57,17 +57,13 @@ def prime_factors_squarefree(m: int, bound: int = DEFAULT_SQUAREFREE_BOUND):
         if d * d > rest or is_prime(rest):
             primes.append(rest)
         else:
-            root = _integer_sqrt(rest)
+            root = math.isqrt(rest)
             if root * root == rest:
                 raise NotSquarefree(f"{m} is divisible by {root}^2")
             raise SquarefreeCheckInconclusive(
                 f"cannot certify squarefreeness of {m} with trial bound {bound}"
             )
     return primes
-
-
-def _integer_sqrt(n: int) -> int:
-    return math.isqrt(n)
 
 
 @dataclass(frozen=True)
@@ -77,20 +73,22 @@ class PureFieldInput:
     m: int
     n: int = 12
     squarefree_bound: int = DEFAULT_SQUAREFREE_BOUND
+    _m_primes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m in (-1, 0, 1):
             raise ExcludedM(f"m = {self.m} does not define a pure field here")
         if self.n < 2:
             raise ExcludedN(f"n must be at least 2 (got n = {self.n})")
-        prime_factors_squarefree(self.m, self.squarefree_bound)
+        primes = prime_factors_squarefree(self.m, self.squarefree_bound)
+        object.__setattr__(self, "_m_primes", primes)
 
     def polynomial(self) -> IntPolynomial:
         return IntPolynomial.pure(self.n, self.m)
 
     def ramified_candidates(self):
         """Primes dividing the discriminant of x^n - m: p | n*m."""
-        ps = set(prime_factors_squarefree(self.m, self.squarefree_bound))
+        ps = set(self._m_primes)
         n = self.n
         d = 2
         while d * d <= n:
@@ -133,10 +131,14 @@ def classify_theorem(m: int, n: int = 12) -> MonogenityVerdict:
     """Closed-form congruence classification; n must be 12."""
     if n != 12:
         raise ValueError("the congruence classification is specific to n = 12")
-    PureFieldInput(m=m, n=n)
+    return _classify_theorem(PureFieldInput(m=m, n=n))
+
+
+def _classify_theorem(inp: PureFieldInput) -> MonogenityVerdict:
+    m = inp.m
     not_monogenic = (m % 4 == 1) or (m % 9 in (1, 8))
     status = Status.NOT_MONOGENIC if not_monogenic else Status.MONOGENIC_Z_ALPHA
-    return MonogenityVerdict(m=m, n=n, status=status)
+    return MonogenityVerdict(m=m, n=inp.n, status=status)
 
 
 def witness_nonmonogenic(report: PrimeFactorization):
@@ -172,7 +174,12 @@ def classify_engine(
     single generator alpha.  Anything else is UNDECIDED (cannot occur
     for n = 12 and squarefree m).
     """
-    inp = PureFieldInput(m=m, n=n, squarefree_bound=squarefree_bound)
+    return _classify_engine(PureFieldInput(m=m, n=n, squarefree_bound=squarefree_bound))
+
+
+def _classify_engine(inp: PureFieldInput) -> MonogenityVerdict:
+    """classify_engine on an input whose m is already certified squarefree."""
+    m, n = inp.m, inp.n
     f = inp.polynomial()
     notes = [] if n == 12 else [f"n = {n} is outside the certified range (n = 12)"]
     reports: dict[int, PrimeFactorization] = {}

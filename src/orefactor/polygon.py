@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import NonMonicModulus, ZeroModP
 from .ffield import ExtPolynomial, FpPolynomial, ResidueField
-from .intpoly import IntPolynomial, phi_expand, vp_poly
+from .intpoly import IntPolynomial, _vp_poly, phi_expand
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def _expand(f: IntPolynomial, phi: IntPolynomial, p: int):
 def _polygon(expansion, p: int) -> NewtonPolygon:
     """Newton polygon from an expansion of f (f is 0 mod p iff every term is)."""
     points = tuple(
-        [(i, vp_poly(a, p)) for i, a in enumerate(expansion.terms) if not a.is_zero()]
+        [(i, _vp_poly(a, p)) for i, a in enumerate(expansion.terms) if not a.is_zero()]
     )
     if not points or min(y for _, y in points) != 0:
         raise ZeroModP(f"polynomial vanishes identically mod {p}")
@@ -182,7 +182,7 @@ def _residual(expansion, field: ResidueField, side: Side) -> ResidualPolynomial:
         idx = s + t * side.e
         y = u_s - t * step_h
         a = terms[idx] if idx < len(terms) else IntPolynomial([])
-        v = vp_poly(a, p)
+        v = _vp_poly(a, p)
         if v == y:
             scaled = IntPolynomial([c // p**y for c in a.coeffs])
             coeffs.append(field.from_int_poly(scaled))

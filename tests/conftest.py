@@ -49,6 +49,15 @@ def run_snippet(code: str, timeout: float = 20.0) -> subprocess.CompletedProcess
         pytest.fail(f"snippet did not finish within {timeout:g} s:\n{code}")
 
 
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace `original` at every orefactor module name that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "orefactor" or name.startswith("orefactor."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def sylvester_resultant(f: IntPolynomial, g: IntPolynomial) -> int:
     """Determinant of the Sylvester matrix, by fraction-exact elimination."""
     m, n = f.degree, g.degree

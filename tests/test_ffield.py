@@ -1,15 +1,21 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import run_snippet
+from conftest import patch_everywhere, run_snippet
 from orefactor.errors import NonPrime, ReducibleModulus, ZeroModP
 from orefactor.ffield import (
     ExtPolynomial,
     FpPolynomial,
     ResidueField,
+    ResidueFieldElem,
+    _distinct_degree_split,
+    _FieldPolynomial,
+    _frobenius,
+    _x_power,
     count_monic_irreducibles,
     factor_ext,
     factor_mod_p,
@@ -411,6 +417,116 @@ class TestRabinExhaustive:
                     for tail in itertools.product(elements, repeat=d)
                 )
                 assert accepted == _necklace_count(field.order, d), (field, d)
+
+
+def _random_poly(rng, field, degree, monic):
+    """ExtPolynomial over field with random coefficients below y^degree."""
+    coeffs = [rng.randrange(field.order) for _ in range(degree)]
+    if monic:
+        coeffs.append(1)
+    return ExtPolynomial(field, [ResidueFieldElem(field, c) for c in coeffs])
+
+
+class TestFrobeniusKernel:
+    """_frobenius(g) is w -> w^q mod g, and _x_power(e, g) is x^e mod g."""
+
+    FIELDS = {
+        "F2": (2, (0, 1)),
+        "F3": (3, (0, 1)),
+        "F13": (13, (0, 1)),
+        "F65537": (65537, (0, 1)),
+        "F4": (2, (1, 1, 1)),
+        "F8": (2, (1, 1, 0, 1)),
+        "F9": (3, (1, 0, 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_matches_pow_mod(self, name):
+        p, modulus = self.FIELDS[name]
+        field = ResidueField.get(p, FpPolynomial(p, modulus))
+        q = field.order
+        rng = random.Random(q)
+        for degree in range(1, 13):
+            g = _random_poly(rng, field, degree, monic=True)
+            x = g._new((0, 1))
+            frobenius = _frobenius(g)
+            for _ in range(2):
+                w = power = _random_poly(rng, field, rng.randrange(degree + 1), monic=False)
+                for i in range(1, 4):
+                    power = frobenius(power)
+                    assert power == w.pow_mod(q**i, g), (name, str(g), str(w), i)
+            for e in (0, 1, 2, q, q**2 - 1, 2**61 - 1):
+                assert _x_power(e, g) == x.pow_mod(e, g), (name, str(g), e)
+
+
+class TestOneExponentiationPerModulus:
+    """Rabin's test and distinct-degree splitting exponentiate by q once
+    per modulus; every further Frobenius power is a matrix product."""
+
+    @pytest.fixture
+    def exponents(self, monkeypatch):
+        seen = Counter()
+        pow_mod, x_power = _FieldPolynomial.pow_mod, _x_power
+
+        def counted_pow_mod(w, e, g):
+            seen[e] += 1
+            return pow_mod(w, e, g)
+
+        def counted_x_power(e, g):
+            seen[e] += 1
+            return x_power(e, g)
+
+        patch_everywhere(monkeypatch, x_power, counted_x_power)
+        monkeypatch.setattr(_FieldPolynomial, "pow_mod", counted_pow_mod)
+        return seen
+
+    def test_rabin_degree_12_over_f13(self, exponents):
+        g = fp(13, -2, *[0] * 11, 1)  # x^12 - 2: 2 has order 12 mod 13
+        assert g.is_irreducible()
+        assert exponents[13] == 1
+
+    def test_distinct_degree_split_1_1_10(self, exponents):
+        # over F_11: (x - 1)(x - 2)(x^10 - 2), 2 a primitive root mod 11
+        g = fp(11, -1, 1) * fp(11, -2, 1) * fp(11, -2, *[0] * 9, 1)
+        parts = _distinct_degree_split(g)
+        assert [(h.coeffs, d) for h, d in parts] == [
+            ((fp(11, -1, 1) * fp(11, -2, 1)).coeffs, 1),
+            (fp(11, -2, *[0] * 9, 1).coeffs, 10),
+        ]
+        assert exponents[11] == 1
+
+
+def test_large_q_regression():
+    """Degree-12 factoring and a degree-10 Rabin test mod p near 10^9.
+
+    x^10 - c is irreducible over F_p when 10 | p - 1 and c is neither a
+    square nor a fifth power mod p (Lidl-Niederreiter, Thm 3.75)."""
+    proc = run_snippet(
+        """
+import json, time
+from orefactor import FpPolynomial, IntPolynomial, factor_mod_p, is_prime
+p = next(p for p in range(10**9 + 1, 10**9 + 10**6, 10) if is_prime(p))
+c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) != 1 != pow(c, (p - 1) // 5, p))
+a, b = 3, 5
+tail = IntPolynomial([-c] + [0] * 9 + [1])
+f = IntPolynomial([-a, 1]) * IntPolynomial([-b, 1]) * tail
+start = time.perf_counter()
+factors = factor_mod_p(f, p)
+factor_s = time.perf_counter() - start
+start = time.perf_counter()
+irreducible = FpPolynomial(p, tail.coeffs).is_irreducible()
+rabin_s = time.perf_counter() - start
+expected = [((p - b, 1), 1), ((p - a, 1), 1), (FpPolynomial(p, tail.coeffs).coeffs, 1)]
+print(json.dumps([[(h.coeffs, m) for h, m in factors] == expected, irreducible,
+                  factor_s, rabin_s, p, c]))
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
+    factors_ok, irreducible, factor_s, rabin_s, p, c = json.loads(proc.stdout)
+    assert factors_ok, (p, c)
+    assert irreducible, (p, c)
+    assert factor_s < 1.0
+    assert rabin_s < 1.0
 
 
 class TestCountMonicIrreducibles:

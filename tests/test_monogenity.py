@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import patch_everywhere
+from orefactor import cli
 from orefactor.errors import (
     EngineError,
     ExcludedM,
@@ -53,6 +55,33 @@ class TestInputValidation:
     def test_ramified_candidates(self):
         assert PureFieldInput(m=33).ramified_candidates() == [2, 3, 11]
         assert PureFieldInput(m=-70).ramified_candidates() == [2, 3, 5, 7]
+
+
+class TestSquarefreeCertifiedOnce:
+    """m is certified squarefree once per classify_engine and once per
+    sweep row, however many routes read its primes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counted(m, bound=None):
+            seen.append(m)
+            return prime_factors_squarefree(m, *([] if bound is None else [bound]))
+
+        patch_everywhere(monkeypatch, prime_factors_squarefree, counted)
+        return seen
+
+    def test_classify_engine(self, calls):
+        verdict = classify_engine(-70)
+        assert [p for p, _, _ in verdict.index_valuations] == [2, 3, 5, 7]
+        assert calls == [-70]
+
+    def test_sweep_rows(self, calls, capsys):
+        assert cli.main(["sweep", "--range", "2..13", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 8  # 2, 3, 5, 6, 7, 10, 11, 13
+        assert calls == list(range(2, 14))
 
 
 class TestTheoremRoute:

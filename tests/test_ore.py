@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import run_snippet
-from orefactor import cli, intpoly
+from conftest import patch_everywhere, run_snippet
+from orefactor import cli, ffield, intpoly
 from orefactor.errors import IndexDivisible, NotRegular, RepeatedFactor
 from orefactor.ffield import ResidueField, _FieldPolynomial, factor_mod_p
 from orefactor.intpoly import IntPolynomial
@@ -266,6 +266,28 @@ class TestOneAnalysisPerPrime:
         assert expanded == Counter(phibar.lift().coeffs for phibar in phis)
         for phibar in phis:
             assert certified[(phibar.field.key, phibar.coeffs)] == 1, str(phibar)
+
+
+def test_primality_certified_once_per_field(monkeypatch):
+    """ore_factor tests p for primality only where it builds a field
+    (F_p, then F_phi per factor phi), not once per valuation."""
+    calls = Counter()
+    is_prime = intpoly.is_prime
+
+    def counted(n):
+        calls[n] += 1
+        return is_prime(n)
+
+    patch_everywhere(monkeypatch, is_prime, counted)
+    monkeypatch.setattr(ResidueField, "_cache", {})
+    monkeypatch.setattr(ffield, "_FACTOR_CACHE", {})
+    p = 10007
+    # x^2 (x - 1)(x - 2) + p^2 (x + 1): phi = x has a side of degree 2
+    f = IntPolynomial([p * p, p * p, 2, -3, 1])
+    report = ore_factor(f, p)
+    assert sum(i.e * i.f for i in report.ideals) == 4
+    fields = {(0, 1)} | {phibar.coeffs for phibar, _ in factor_mod_p(f, p)}  # F_p = F_p[x]/(x)
+    assert calls[p] == len(fields) == 3
 
 
 def test_allocated_blocks_stay_flat():
