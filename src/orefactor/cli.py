@@ -13,26 +13,24 @@ Exit codes: 0 success, 1 domain error, 2 parse/usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import os
 import re
 import sys
 
 from . import __version__
 from .errors import EngineError, NotRegular, NotSquarefree, PolyParseError
-from .ffield import FpPolynomial, factor_ext
+from .ffield import FpPolynomial
 from .intpoly import IntPolynomial
 from .monogenity import (
     DEFAULT_SQUAREFREE_BOUND,
     PureFieldInput,
     _classify_engine,
     _classify_theorem,
-    classify_engine,
-    classify_theorem,
 )
-from .ore import _analyze, _factorization, dedekind_test
-from .polygon import _expand, _polygon, _principal_lattice_count, _residual, render_polygon
+from .ore import _analyze, _factorization, _phi_report, dedekind_test
+from .polygon import render_polygon
 
 ENV_SQUAREFREE_BOUND = "OREFACTOR_SQUAREFREE_BOUND"
 _MAX_EXPONENT = 100_000
@@ -142,11 +140,12 @@ def _ideal_dict(ideal) -> dict:
 
 
 def _factorization_dict(rep) -> dict:
+    # both flags are constant: only a p-regular f yields a factorization
     return {
         "p": str(rep.p),
-        "is_regular": rep.is_regular,
+        "is_regular": True,
         "index_valuation": rep.index_valuation,
-        "index_is_exact": rep.index_is_exact,
+        "index_is_exact": True,
         "ideals": [_ideal_dict(i) for i in rep.ideals],
         "ef_multiset": [list(ef) for ef in rep.ef_multiset()],
     }
@@ -178,9 +177,11 @@ def _verdict_dict(verdict) -> dict:
     }
 
 
-def _polygon_dict(poly, residuals, residual_factors) -> dict:
+def _polygon_dict(report) -> dict:
+    """The polygon payload of one ore._phi_report."""
+    poly = report.polygon
     sides = []
-    for residual, factors in zip(residuals, residual_factors):
+    for residual, factors in zip(report.residuals, report.residual_factors):
         side = residual.side
         sides.append(
             {
@@ -207,105 +208,67 @@ def _polygon_dict(poly, residuals, residual_factors) -> dict:
         "vertices": [list(v) for v in poly.vertices],
         "principal_vertices": [list(v) for v in poly.principal_vertices],
         "sides": sides,
-        "phi_index": poly.phi.degree * _principal_lattice_count(poly.principal_sides),
+        "phi_index": report.index,
         "render": render_polygon(poly),
     }
 
 
 def _irreducibility_screen(f: IntPolynomial) -> list[str]:
-    """Rational-root and mod-q screens; warnings only, never a refusal."""
-    if f.degree < 1:
-        return ["f is constant"]
-    notes = []
-    const = f[0]
-    if const == 0:
-        notes.append("warning: f(0) = 0, so f is reducible; results assume irreducibility")
-        return notes
-    for r in _divisor_candidates(abs(const)):
+    """Rational-root and mod-q screens of a monic nonconstant f; warnings
+    only, never a refusal."""
+    for r in _divisor_candidates(abs(f[0])) if f[0] else [0]:
         for root in (r, -r):
             if f(root) == 0:
-                notes.append(
+                return [
                     f"warning: f({root}) = 0, so f is reducible; results assume irreducibility"
-                )
-                return notes
+                ]
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23):
         if FpPolynomial(q, f.coeffs).is_irreducible():
             return []  # monic and irreducible mod q, hence irreducible over Q
-    notes.append(
+    return [
         "note: irreducibility of f over Q was screened but not verified; "
         "results assume it"
-    )
-    return notes
+    ]
 
 
 def _divisor_candidates(n: int, cap: int = 10_000):
-    out = []
-    d = 1
-    while d * d <= n and d <= cap:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    small = [d for d in range(1, min(math.isqrt(n), cap) + 1) if n % d == 0]
+    return sorted({x for d in small for x in (d, n // d)})
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report dict, text string, csv string|None)
+# subcommand handlers: each returns the report dict
 
 
-def _cmd_classify(args) -> tuple:
+def _classify_routes(inp: PureFieldInput, mode: str) -> tuple:
+    """(theorem verdict, engine verdict, agree) on one certified input; None
+    for a route that mode leaves out, and agree None unless both ran."""
+    theorem = None if mode == "engine" else _classify_theorem(inp)
+    engine = None if mode == "theorem" else _classify_engine(inp)
+    agree = theorem.status is engine.status if theorem and engine else None
+    return theorem, engine, agree
+
+
+def _cmd_classify(args) -> dict:
     bound = _squarefree_bound()
-    mode = args.mode
-    if args.n != 12 and mode in ("theorem", "both"):
+    if args.n != 12 and args.mode in ("theorem", "both"):
         raise EngineError(
             f"the congruence route only covers n = 12 (got n = {args.n}); "
             "use --mode engine"
         )
+    inp = PureFieldInput(m=args.m, n=args.n, squarefree_bound=bound)
+    theorem, engine, agree = _classify_routes(inp, args.mode)
     results: dict = {}
-    text = [f"m = {args.m}  (mod 4: {args.m % 4}, mod 9: {args.m % 9}),  n = {args.n}"]
-    theorem = engine = None
-    if mode in ("theorem", "both"):
-        theorem = classify_theorem(args.m, args.n)
+    if theorem is not None:
         results["theorem"] = {"status": theorem.status.name}
-        text.append(f"theorem route: {theorem.status.name}")
-    if mode in ("engine", "both"):
-        engine = classify_engine(args.m, args.n, squarefree_bound=bound)
+    if engine is not None:
         results["engine"] = _verdict_dict(engine)
-        text.append(f"engine route:  {engine.status.name}")
-        text.extend(_verdict_text(engine))
-    if theorem is not None and engine is not None:
-        results["agree"] = theorem.status is engine.status
-        text.append(f"routes agree: {'yes' if results['agree'] else 'NO'}")
-    report = _report(
-        "classify",
-        {"m": str(args.m), "n": args.n, "mode": mode},
-        results,
-    )
-    return report, "\n".join(text), None
+    if agree is not None:
+        results["agree"] = agree
+    return _report("classify", {"m": str(args.m), "n": args.n, "mode": args.mode}, results)
 
 
-def _verdict_text(verdict) -> list[str]:
-    lines = []
-    vals = ", ".join(
-        f"v_{p}(index) = {v}{' (exact)' if exact else '+ (lower bound)'}"
-        for p, v, exact in verdict.index_valuations
-    )
-    lines.append(f"  {vals}")
-    for w in verdict.witnesses:
-        p, fdeg, count, bound = w
-        lines.append(
-            f"  witness at p = {p}: {count} primes of residue degree {fdeg}, "
-            f"but only {bound} monic irreducible degree-{fdeg} polynomials over F_{p}"
-        )
-    for rep in verdict.per_prime_reports:
-        shape = " ".join(f"(e={e},f={f})" for e, f in rep.ef_multiset())
-        lines.append(f"  {rep.p}Z_K shape: {shape}")
-    for note in verdict.notes:
-        lines.append(f"  {note}")
-    return lines
-
-
-def _cmd_factor(args) -> tuple:
+def _cmd_factor(args) -> dict:
     f = parse_poly(args.f)
     p = args.p
     if f.degree < 1:
@@ -315,8 +278,6 @@ def _cmd_factor(args) -> tuple:
     notes = _irreducibility_screen(f)
     verdict = dedekind_test(f, p)
     reports = _analyze(f, p)
-    factors = [(r.phibar, r.multiplicity) for r in reports]
-    polygons = [_polygon_dict(r.polygon, r.residuals, r.residual_factors) for r in reports]
     results: dict = {
         "dedekind": {
             "divides_index": verdict.divides_index,
@@ -325,95 +286,28 @@ def _cmd_factor(args) -> tuple:
             else str(verdict.failing_phi),
         },
         "factor_mod_p": [
-            {"phi": str(phibar), "multiplicity": mult} for phibar, mult in factors
+            {"phi": str(r.phibar), "multiplicity": r.multiplicity} for r in reports
         ],
-        "polygons": polygons,
+        "polygons": [_polygon_dict(r) for r in reports],
         "notes": notes,
     }
-    text = [f"f = {f},  p = {p}"]
-    text.extend(notes)
-    fbar = " * ".join(
-        f"({phibar})" + (f"^{mult}" if mult > 1 else "") for phibar, mult in factors
-    )
-    text.append(f"f mod {p} = {fbar}")
-    if verdict.divides_index:
-        text.append(
-            f"Dedekind: {p} DIVIDES the index (failing factor {verdict.failing_phi})"
-        )
-    else:
-        text.append(f"Dedekind: {p} does not divide the index")
-    for pd in polygons:
-        text.append(f"phi = {pd['phi']}:")
-        text.append(
-            "  principal vertices: "
-            + " ".join(f"({x},{y})" for x, y in pd["principal_vertices"])
-        )
-        for sd in pd["sides"]:
-            text.append(
-                f"  side {tuple(sd['start'])}->{tuple(sd['end'])}: slope {sd['slope']}, "
-                f"l={sd['length']} h={sd['height']} d={sd['degree']} e={sd['e']}"
-            )
-            fstr = " * ".join(
-                f"({fd['factor']})" + (f"^{fd['multiplicity']}" if fd["multiplicity"] > 1 else "")
-                for fd in sd["residual"]["factors"]
-            )
-            text.append(f"    residual: {sd['residual']['poly']}  =  [{sd['residual']['unit']}] {fstr}")
-        text.append(f"  phi-index: {pd['phi_index']}")
-        text.append(pd["render"])
     try:
-        rep = _factorization(reports, f.degree, p)
-        results["factorization"] = _factorization_dict(rep)
-        text.append("prime ideals above p (e = ramification index, f = residue degree):")
-        for ideal in rep.ideals:
-            extra = ""
-            if ideal.side_slope is not None:
-                extra = f"  slope={ideal.side_slope}  psi={ideal.residual_factor}"
-            text.append(f"  e={ideal.e} f={ideal.f}  phi={ideal.phi}{extra}")
-        exact = "exact" if rep.index_is_exact else "lower bound"
-        text.append(
-            f"sum e*f = {sum(i.e * i.f for i in rep.ideals)};  "
-            f"v_{p}(index) = {rep.index_valuation} ({exact})"
-        )
+        results["factorization"] = _factorization_dict(_factorization(reports, f.degree, p))
     except NotRegular as exc:
         results["factorization"] = None
         results["refusal"] = {
             "reason": "not p-regular",
             "index_lower_bound": exc.lower_bound,
         }
-        text.append(
-            f"not {p}-regular: factorization refused; "
-            f"v_{p}(index) >= {exc.lower_bound}"
-        )
-    report = _report("factor", {"f": str(f), "p": str(p)}, results)
-    return report, "\n".join(text), None
+    return _report("factor", {"f": str(f), "p": str(p)}, results)
 
 
-def _cmd_polygon(args) -> tuple:
+def _cmd_polygon(args) -> dict:
     f = parse_poly(args.f)
     phi = parse_poly(args.phi)
     p = args.p
-    expansion, field = _expand(f, phi, p)
-    poly = _polygon(expansion, p)
-    residuals = [_residual(expansion, field, side) for side in poly.principal_sides]
-    pd = _polygon_dict(poly, residuals, [factor_ext(r.poly) for r in residuals])
-    report = _report(
-        "polygon", {"f": str(f), "phi": str(phi), "p": str(p)}, pd
-    )
-    text = [
-        f"f = {f},  phi = {phi},  p = {p}",
-        "vertices: " + " ".join(f"({x},{y})" for x, y in pd["vertices"]),
-        "principal vertices: "
-        + " ".join(f"({x},{y})" for x, y in pd["principal_vertices"]),
-    ]
-    for sd in pd["sides"]:
-        text.append(
-            f"side {tuple(sd['start'])}->{tuple(sd['end'])}: slope {sd['slope']}, "
-            f"l={sd['length']} h={sd['height']} d={sd['degree']} e={sd['e']}"
-        )
-        text.append(f"  residual: {sd['residual']['poly']}")
-    text.append(f"phi-index: {pd['phi_index']}")
-    text.append(pd["render"])
-    return report, "\n".join(text), None
+    pd = _polygon_dict(_phi_report(f, phi, p))
+    return _report("polygon", {"f": str(f), "phi": str(phi), "p": str(p)}, pd)
 
 
 _CSV_COLUMNS = [
@@ -430,7 +324,7 @@ _CSV_COLUMNS = [
 ]
 
 
-def _cmd_sweep(args) -> tuple:
+def _cmd_sweep(args) -> dict:
     match = re.fullmatch(r"\s*(-?\d+)\.\.(-?\d+)\s*", args.range)
     if match is None:
         raise PolyParseError("range must look like 'a..b'", 0)
@@ -440,34 +334,18 @@ def _cmd_sweep(args) -> tuple:
     bound = _squarefree_bound()
     rows = []
     for m in range(lo, hi + 1):
-        if m in (-1, 0, 1):
-            continue
-        if args.mod4 is not None and m % 4 != args.mod4:
-            continue
-        if args.mod9 is not None and m % 9 != args.mod9:
+        if m in (-1, 0, 1) or args.mod4 not in (None, m % 4) or args.mod9 not in (None, m % 9):
             continue
         try:
             inp = PureFieldInput(m=m, squarefree_bound=bound)
         except NotSquarefree:
             continue
-        row = {
-            "m": str(m),
-            "mod4": m % 4,
-            "mod9": m % 9,
-            "status_theorem": None,
-            "status_engine": None,
-            "agree": None,
-            "witness_p": None,
-            "witness_f": None,
-            "witness_count": None,
-            "witness_bound": None,
-        }
-        theorem = engine = None
-        if args.mode in ("theorem", "both"):
-            theorem = _classify_theorem(inp)
+        theorem, engine, agree = _classify_routes(inp, args.mode)
+        row = dict.fromkeys(_CSV_COLUMNS)
+        row.update(m=str(m), mod4=m % 4, mod9=m % 9, agree=agree)
+        if theorem is not None:
             row["status_theorem"] = theorem.status.name
-        if args.mode in ("engine", "both"):
-            engine = _classify_engine(inp)
+        if engine is not None:
             row["status_engine"] = engine.status.name
             if engine.witness is not None:
                 p, fdeg, count, nf = engine.witness
@@ -477,10 +355,8 @@ def _cmd_sweep(args) -> tuple:
                     witness_count=count,
                     witness_bound=nf,
                 )
-        if theorem is not None and engine is not None:
-            row["agree"] = theorem.status is engine.status
         rows.append(row)
-    report = _report(
+    return _report(
         "sweep",
         {
             "range": f"{lo}..{hi}",
@@ -490,15 +366,128 @@ def _cmd_sweep(args) -> tuple:
         },
         {"rows": rows, "count": len(rows)},
     )
-    out = io.StringIO()
-    out.write(",".join(_CSV_COLUMNS) + "\n")
-    for row in rows:
-        out.write(
-            ",".join("" if row[c] is None else str(row[c]) for c in _CSV_COLUMNS) + "\n"
+
+
+def _squarefree_bound() -> int:
+    env = os.environ.get(ENV_SQUAREFREE_BOUND, str(DEFAULT_SQUAREFREE_BOUND))
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"{ENV_SQUAREFREE_BOUND} must be an integer, got {env!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# text and csv rendering: each renderer reads only the report dict
+
+
+def _power(base: str, multiplicity: int) -> str:
+    return f"({base})" + (f"^{multiplicity}" if multiplicity > 1 else "")
+
+
+def _points(points) -> str:
+    return " ".join(f"({x},{y})" for x, y in points)
+
+
+def _polygon_lines(pd: dict, indent: str, residual_text) -> list[str]:
+    """One polygon payload: principal vertices, each side and its residual
+    (as residual_text renders it), the phi-index and the sketch."""
+    lines = [f"{indent}principal vertices: " + _points(pd["principal_vertices"])]
+    for sd in pd["sides"]:
+        lines.append(
+            f"{indent}side {tuple(sd['start'])}->{tuple(sd['end'])}: slope {sd['slope']}, "
+            f"l={sd['length']} h={sd['height']} d={sd['degree']} e={sd['e']}"
         )
-    csv_text = out.getvalue()
-    text_lines = [f"sweep {lo}..{hi} ({len(rows)} squarefree m)"]
-    for row in rows:
+        lines.append(f"{indent}  residual: {residual_text(sd['residual'])}")
+    return lines + [f"{indent}phi-index: {pd['phi_index']}", pd["render"]]
+
+
+def _factored(residual: dict) -> str:
+    fstr = " * ".join(_power(fd["factor"], fd["multiplicity"]) for fd in residual["factors"])
+    return f"{residual['poly']}  =  [{residual['unit']}] {fstr}"
+
+
+def _classify_text(report: dict) -> str:
+    inputs, results = report["inputs"], report["results"]
+    m = int(inputs["m"])
+    lines = [f"m = {m}  (mod 4: {m % 4}, mod 9: {m % 9}),  n = {inputs['n']}"]
+    if "theorem" in results:
+        lines.append(f"theorem route: {results['theorem']['status']}")
+    if "engine" in results:
+        lines.append(f"engine route:  {results['engine']['status']}")
+        lines.extend(_verdict_text(results["engine"]))
+    if "agree" in results:
+        lines.append(f"routes agree: {'yes' if results['agree'] else 'NO'}")
+    return "\n".join(lines)
+
+
+def _verdict_text(verdict: dict) -> list[str]:
+    vals = ", ".join(
+        f"v_{v['p']}(index) = {v['valuation']}"
+        + (" (exact)" if v["exact"] else "+ (lower bound)")
+        for v in verdict["index_valuations"]
+    )
+    lines = [f"  {vals}"]
+    for w in verdict["witnesses"]:
+        p, fdeg = w["p"], w["residue_degree"]
+        lines.append(
+            f"  witness at p = {p}: {w['ideal_count']} primes of residue degree {fdeg}, "
+            f"but only {w['irreducible_count']} monic irreducible degree-{fdeg} "
+            f"polynomials over F_{p}"
+        )
+    for rep in verdict["per_prime"]:
+        shape = " ".join(f"(e={e},f={f})" for e, f in rep["ef_multiset"])
+        lines.append(f"  {rep['p']}Z_K shape: {shape}")
+    lines.extend(f"  {note}" for note in verdict["notes"])
+    return lines
+
+
+def _factor_text(report: dict) -> str:
+    inputs, results = report["inputs"], report["results"]
+    p = inputs["p"]
+    lines = [f"f = {inputs['f']},  p = {p}", *results["notes"]]
+    fbar = " * ".join(_power(r["phi"], r["multiplicity"]) for r in results["factor_mod_p"])
+    lines.append(f"f mod {p} = {fbar}")
+    dedekind = results["dedekind"]
+    if dedekind["divides_index"]:
+        lines.append(
+            f"Dedekind: {p} DIVIDES the index (failing factor {dedekind['failing_phi']})"
+        )
+    else:
+        lines.append(f"Dedekind: {p} does not divide the index")
+    for pd in results["polygons"]:
+        lines.append(f"phi = {pd['phi']}:")
+        lines.extend(_polygon_lines(pd, "  ", _factored))
+    rep = results["factorization"]
+    if rep is None:
+        bound = results["refusal"]["index_lower_bound"]
+        lines.append(f"not {p}-regular: factorization refused; v_{p}(index) >= {bound}")
+        return "\n".join(lines)
+    lines.append("prime ideals above p (e = ramification index, f = residue degree):")
+    for ideal in rep["ideals"]:
+        extra = ""
+        if ideal["slope"] is not None:
+            extra = f"  slope={ideal['slope']}  psi={ideal['residual_factor']}"
+        lines.append(f"  e={ideal['e']} f={ideal['f']}  phi={ideal['phi']}{extra}")
+    lines.append(
+        f"sum e*f = {sum(i['e'] * i['f'] for i in rep['ideals'])};  "
+        f"v_{p}(index) = {rep['index_valuation']} (exact)"
+    )
+    return "\n".join(lines)
+
+
+def _polygon_text(report: dict) -> str:
+    inputs, pd = report["inputs"], report["results"]
+    lines = [
+        f"f = {inputs['f']},  phi = {inputs['phi']},  p = {inputs['p']}",
+        "vertices: " + _points(pd["vertices"]),
+    ]
+    return "\n".join(lines + _polygon_lines(pd, "", lambda residual: residual["poly"]))
+
+
+def _sweep_text(report: dict) -> str:
+    results = report["results"]
+    lines = [f"sweep {report['inputs']['range']} ({results['count']} squarefree m)"]
+    for row in results["rows"]:
         status = row["status_engine"] or row["status_theorem"]
         wit = ""
         if row["witness_p"] is not None:
@@ -506,22 +495,25 @@ def _cmd_sweep(args) -> tuple:
                 f"  witness p={row['witness_p']} f={row['witness_f']} "
                 f"P={row['witness_count']} > N={row['witness_bound']}"
             )
-        text_lines.append(f"  m = {row['m']:>6}: {status}{wit}")
-    return report, "\n".join(text_lines), csv_text
+        lines.append(f"  m = {row['m']:>6}: {status}{wit}")
+    return "\n".join(lines)
 
 
-def _squarefree_bound() -> int:
-    env = os.environ.get(ENV_SQUAREFREE_BOUND)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{ENV_SQUAREFREE_BOUND} must be an integer, got {env!r}") from None
-    return DEFAULT_SQUAREFREE_BOUND
+def _sweep_csv(report: dict) -> str:
+    lines = [",".join(_CSV_COLUMNS)]
+    for row in report["results"]["rows"]:
+        lines.append(",".join("" if row[c] is None else str(row[c]) for c in _CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+
+
+def _output_options(command, handler, render, formats=("text", "json")) -> None:
+    command.add_argument("--format", choices=formats, default="text")
+    command.add_argument("--out", default=None, help="write output to a file")
+    command.set_defaults(handler=handler, render=render)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,18 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument(
         "--mode", choices=["theorem", "engine", "both"], default="both"
     )
-    classify.add_argument("--format", choices=["text", "json"], default="text")
-    classify.add_argument("--out", default=None, help="write output to a file")
-    classify.set_defaults(handler=_cmd_classify)
+    _output_options(classify, _cmd_classify, _classify_text)
 
     factor = sub.add_parser(
         "factor", help="factor p in Z[x]/(f): index test, polygons, ideal table"
     )
     factor.add_argument("--f", required=True, help="monic integer polynomial in x")
     factor.add_argument("--p", type=int, required=True, help="rational prime")
-    factor.add_argument("--format", choices=["text", "json"], default="text")
-    factor.add_argument("--out", default=None)
-    factor.set_defaults(handler=_cmd_factor)
+    _output_options(factor, _cmd_factor, _factor_text)
 
     polygon = sub.add_parser(
         "polygon", help="Newton polygon of f with respect to phi and p"
@@ -562,18 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
     polygon.add_argument("--f", required=True)
     polygon.add_argument("--phi", required=True, help="monic polynomial, irreducible mod p")
     polygon.add_argument("--p", type=int, required=True)
-    polygon.add_argument("--format", choices=["text", "json"], default="text")
-    polygon.add_argument("--out", default=None)
-    polygon.set_defaults(handler=_cmd_polygon)
+    _output_options(polygon, _cmd_polygon, _polygon_text)
 
     sweep = sub.add_parser("sweep", help="classify every squarefree m in a range")
     sweep.add_argument("--range", required=True, help="inclusive range, e.g. 2..50 or -50..50")
     sweep.add_argument("--mode", choices=["theorem", "engine", "both"], default="both")
     sweep.add_argument("--mod4", type=int, default=None, help="keep only m with m %% 4 == MOD4")
     sweep.add_argument("--mod9", type=int, default=None, help="keep only m with m %% 9 == MOD9")
-    sweep.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    sweep.add_argument("--out", default=None)
-    sweep.set_defaults(handler=_cmd_sweep)
+    _output_options(sweep, _cmd_sweep, _sweep_text, formats=("text", "json", "csv"))
     return parser
 
 
@@ -582,31 +566,27 @@ def to_canonical_json(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report, text, csv_text = args.handler(args)
-    except (PolyParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report = args.handler(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+        return 2 if isinstance(exc, (PolyParseError, UsageError)) else 1
+    if args.format == "json":
         payload = to_canonical_json(report)
-    elif fmt == "csv":
-        if csv_text is None:
-            print("error: csv output is only available for sweep", file=sys.stderr)
-            return 2
-        payload = csv_text
+    elif args.format == "csv":
+        payload = _sweep_csv(report)
     else:
-        payload = text + "\n"
-    if args.out:
+        payload = args.render(report) + "\n"
+    if not args.out:
+        sys.stdout.write(payload)
+        return 0
+    try:
         with open(args.out, "w") as handle:
             handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -41,7 +41,7 @@ import operator
 import random
 
 from .errors import NonMonicModulus, NonPrime, ReducibleModulus, ZeroModP
-from .intpoly import IntPolynomial, is_prime
+from .intpoly import IntPolynomial, _prime_divisors, is_prime
 
 
 _CACHE_LIMIT = 64
@@ -537,20 +537,6 @@ def _frobenius(g):
         return lambda w: g._new([sum(map(operator.mul, w.coeffs, c)) % p for c in cols])
     add, mul = field.add, field.mul
     return lambda w: g._new([functools.reduce(add, map(mul, w.coeffs, c), 0) for c in cols])
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _format_poly(coeffs, var: str, coeff_str=str) -> str:

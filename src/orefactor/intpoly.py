@@ -144,6 +144,21 @@ def _require_prime(p: int) -> None:
         raise NonPrime(f"{p} is not prime")
 
 
+def _prime_divisors(n: int):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 class IntPolynomial:
     """Dense monic-friendly polynomial over Z.
 

@@ -30,7 +30,7 @@ from .errors import (
     SquarefreeCheckInconclusive,
 )
 from .ffield import count_monic_irreducibles
-from .intpoly import IntPolynomial, is_prime
+from .intpoly import IntPolynomial, _prime_divisors, is_prime
 from .ore import PrimeFactorization, ore_factor
 
 DEFAULT_SQUAREFREE_BOUND = 10**7
@@ -88,18 +88,7 @@ class PureFieldInput:
 
     def ramified_candidates(self):
         """Primes dividing the discriminant of x^n - m: p | n*m."""
-        ps = set(self._m_primes)
-        n = self.n
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                ps.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            ps.add(n)
-        return sorted(ps)
+        return sorted(set(self._m_primes).union(_prime_divisors(self.n)))
 
 
 class Status(enum.Enum):
@@ -148,8 +137,6 @@ def witness_nonmonogenic(report: PrimeFactorization):
     counts monic irreducible degree-f polynomials over F_p.  When the
     count bound fails, every generator's index is divisible by p.
     """
-    if not report.is_regular:
-        raise ValueError("witness counting requires exact (regular) ideal data")
     counts = report.residue_degree_counts()
     for fdeg in sorted(counts):
         n_f = count_monic_irreducibles(report.p, fdeg)
@@ -184,21 +171,16 @@ def _classify_engine(inp: PureFieldInput) -> MonogenityVerdict:
     notes = [] if n == 12 else [f"n = {n} is outside the certified range (n = 12)"]
     reports: dict[int, PrimeFactorization] = {}
     valuations = []
-    all_exact_zero = True
     for p in inp.ramified_candidates():
         try:
             report = ore_factor(f, p)
             reports[p] = report
             valuations.append((p, report.index_valuation, True))
-            if report.index_valuation != 0:
-                all_exact_zero = False
         except NotRegular as exc:
             valuations.append((p, exc.lower_bound, False))
-            all_exact_zero = False
             notes.append(f"p = {p}: not p-regular, index valuation >= {exc.lower_bound}")
         except RepeatedFactor as exc:
             valuations.append((p, 0, False))
-            all_exact_zero = False
             notes.append(f"p = {p}: {exc}")
     common = dict(
         m=m,
@@ -207,16 +189,10 @@ def _classify_engine(inp: PureFieldInput) -> MonogenityVerdict:
         index_valuations=tuple(valuations),
         notes=tuple(notes),
     )
-    if all_exact_zero:
+    if all(exact and v == 0 for _, v, exact in valuations):
         return MonogenityVerdict(status=Status.MONOGENIC_Z_ALPHA, **common)
-    witnesses = []
-    for p in _WITNESS_PRIMES:
-        report = reports.get(p)
-        if report is None:
-            continue
-        found = witness_nonmonogenic(report)
-        if found is not None:
-            witnesses.append((p,) + found)
+    found = [(p, witness_nonmonogenic(reports[p])) for p in _WITNESS_PRIMES if p in reports]
+    witnesses = [(p,) + w for p, w in found if w is not None]
     if witnesses:
         return MonogenityVerdict(
             status=Status.NOT_MONOGENIC,

@@ -10,10 +10,12 @@ Three routes, increasingly powerful:
   p-valuation of the index.
 
 ore_factor, ore_index and is_p_regular all read one analysis per (f, p),
-_analyze: for each factor phi of f mod p it expands f in base phi once,
-fetches the field F_phi once and factors each residual polynomial once.
-The only irreducibility test of phi runs in ResidueField, when the field
-is built; factor_mod_p's factors are not tested again.
+_analyze, which runs _phi_report once for each factor phi of f mod p:
+it expands f in base phi once, fetches the field F_phi once and factors
+each residual polynomial once.  The CLI's polygon command runs
+_phi_report on a phi of its own.  The only irreducibility test of phi
+runs in ResidueField, when the field is built; factor_mod_p's factors
+are not tested again.
 
 Irreducibility of f over Q is the caller's obligation throughout; it is
 assumed, not verified.  Inputs that are visibly incompatible with it
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IndexDivisible, NonMonicModulus, NotRegular, RepeatedFactor
-from .ffield import ExtPolynomial, FpPolynomial, ResidueField, factor_ext, factor_mod_p
-from .intpoly import IntPolynomial, phi_expand
-from .polygon import NewtonPolygon, _polygon, _principal_lattice_count, _residual
+from .ffield import ExtPolynomial, FpPolynomial, factor_ext, factor_mod_p
+from .intpoly import IntPolynomial
+from .polygon import NewtonPolygon, _expand, _polygon, _principal_lattice_count, _residual
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,11 @@ class PrimeIdealData:
 
 @dataclass(frozen=True)
 class PrimeFactorization:
-    """Shape of p Z_K: the multiset of (e, f) plus index bookkeeping."""
+    """Shape of p Z_K: the multiset of (e, f) and the exact v_p of the index."""
 
     p: int
     ideals: tuple
-    is_regular: bool
     index_valuation: int
-    index_is_exact: bool
 
     def ef_multiset(self):
         return sorted(i.ef() for i in self.ideals)
@@ -126,13 +126,7 @@ def kummer_factor(f: IntPolynomial, p: int) -> PrimeFactorization:
         for phibar, mult in factor_mod_p(f, p)
     )
     _check_fundamental_identity(ideals, f.degree)
-    return PrimeFactorization(
-        p=p,
-        ideals=ideals,
-        is_regular=True,
-        index_valuation=0,
-        index_is_exact=True,
-    )
+    return PrimeFactorization(p=p, ideals=ideals, index_valuation=0)
 
 
 @dataclass(frozen=True)
@@ -140,46 +134,44 @@ class _PhiReport:
     """Everything the engine learns about one irreducible factor phi of f mod p."""
 
     phibar: FpPolynomial
-    multiplicity: int
-    exact_power: int  # 1 if the lift of phi divides f over Z, else 0
+    multiplicity: int  # of phibar in f mod p; 0 when phi was not read off f mod p
+    exact_power: int  # the power of phi dividing f over Z
     polygon: NewtonPolygon
     residuals: tuple
     residual_factors: tuple  # factor_ext of each residual, in side order
     index: int
 
-    def residuals_squarefree(self) -> bool:
-        return all(mult == 1 for fs in self.residual_factors for _, mult in fs)
+
+def _phi_report(f: IntPolynomial, phi: IntPolynomial, p: int, multiplicity: int = 0):
+    """Everything the engine learns about phi, which must be monic with
+    irreducible reduction mod p (building F_phi checks it, once per field)."""
+    expansion, field = _expand(f, phi, p)
+    poly = _polygon(expansion, p)
+    residuals = tuple([_residual(expansion, field, s) for s in poly.principal_sides])
+    return _PhiReport(
+        phibar=field.modulus,
+        multiplicity=multiplicity,
+        exact_power=poly.points[0][0],  # the index of the first nonzero term
+        polygon=poly,
+        residuals=residuals,
+        residual_factors=tuple([factor_ext(r.poly) for r in residuals]),
+        index=phi.degree * _principal_lattice_count(poly.principal_sides),
+    )
 
 
 def _analyze(f: IntPolynomial, p: int):
-    """Per-factor polygon and residual data for every phi dividing f mod p."""
+    """The _phi_report of every phi dividing f mod p, in factor order."""
     _require_monic(f)
     reports = []
     for phibar, mult in factor_mod_p(f, p):
         lift = phibar.lift()
-        expansion = phi_expand(f, lift)
-        exact_power = 0
-        while expansion.terms[exact_power].is_zero():
-            exact_power += 1
-        if exact_power >= 2:
+        report = _phi_report(f, lift, p, mult)
+        if report.exact_power >= 2:
             raise RepeatedFactor(
-                f"f is divisible by ({lift})^{exact_power} over Z; "
+                f"f is divisible by ({lift})^{report.exact_power} over Z; "
                 "no squarefree p-adic factorization exists"
             )
-        field = ResidueField.get(p, phibar)
-        poly = _polygon(expansion, p)
-        residuals = tuple([_residual(expansion, field, s) for s in poly.principal_sides])
-        reports.append(
-            _PhiReport(
-                phibar=phibar,
-                multiplicity=mult,
-                exact_power=exact_power,
-                polygon=poly,
-                residuals=residuals,
-                residual_factors=tuple([factor_ext(r.poly) for r in residuals]),
-                index=lift.degree * _principal_lattice_count(poly.principal_sides),
-            )
-        )
+        reports.append(report)
     return reports
 
 
@@ -190,14 +182,13 @@ def ore_index(f: IntPolynomial, p: int):
     and is the exact valuation iff f is p-regular.
     """
     reports = _analyze(f, p)
-    total = sum(r.index for r in reports)
-    exact = all(r.residuals_squarefree() for r in reports)
-    return total, exact
+    squarefree = all(mult == 1 for r in reports for fs in r.residual_factors for _, mult in fs)
+    return sum(r.index for r in reports), squarefree
 
 
 def is_p_regular(f: IntPolynomial, p: int) -> bool:
     """True iff every residual polynomial of every principal side is squarefree."""
-    return all(r.residuals_squarefree() for r in _analyze(f, p))
+    return ore_index(f, p)[1]
 
 
 def ore_factor(f: IntPolynomial, p: int) -> PrimeFactorization:
@@ -239,13 +230,7 @@ def _factorization(reports, degree: int, p: int) -> PrimeFactorization:
                     )
                 )
     _check_fundamental_identity(ideals, degree)
-    return PrimeFactorization(
-        p=p,
-        ideals=tuple(ideals),
-        is_regular=True,
-        index_valuation=total_index,
-        index_is_exact=True,
-    )
+    return PrimeFactorization(p=p, ideals=tuple(ideals), index_valuation=total_index)
 
 
 def _check_fundamental_identity(ideals, degree: int) -> None:

@@ -80,20 +80,21 @@ class NewtonPolygon:
 
     @property
     def vertices(self) -> tuple:
-        if not self.sides:
-            return self.points[:1]
-        return (self.sides[0].start,) + tuple(s.end for s in self.sides)
+        return _chain(self.sides) or self.points[:1]
 
     @property
     def principal_vertices(self) -> tuple:
-        if not self.principal_sides:
-            return ()
-        return (self.principal_sides[0].start,) + tuple(
-            s.end for s in self.principal_sides
-        )
+        return _chain(self.principal_sides)
 
     def principal_length(self) -> int:
         return sum(s.length for s in self.principal_sides)
+
+
+def _chain(sides) -> tuple:
+    """The vertices of consecutive sides, from the first start to the last end."""
+    if not sides:
+        return ()
+    return (sides[0].start,) + tuple([s.end for s in sides])
 
 
 def _lower_hull(points):
@@ -175,12 +176,8 @@ def _residual(expansion, field: ResidueField, side: Side) -> ResidualPolynomial:
     """
     p = field.p
     terms = expansion.terms
-    s, u_s = side.start
-    step_h = side.height // side.degree
     coeffs = []
-    for t in range(side.degree + 1):
-        idx = s + t * side.e
-        y = u_s - t * step_h
+    for idx, y in side.lattice_points():
         a = terms[idx] if idx < len(terms) else IntPolynomial([])
         v = _vp_poly(a, p)
         if v == y:
@@ -196,16 +193,20 @@ def _residual(expansion, field: ResidueField, side: Side) -> ResidualPolynomial:
     return ResidualPolynomial(side=side, poly=poly)
 
 
-def _principal_lattice_count(principal_sides) -> int:
-    """Lattice points (x>=1, y>=1) on or below the principal polygon, in integers."""
-    count = 0
+def _lattice_columns(principal_sides):
+    """(x, h) for each x >= 1 under the principal polygon, h the floor of its
+    ordinate at x: the points (x, 1..h) are on or below it.  In integers."""
     for k, side in enumerate(principal_sides):
         (x0, y0), (x1, y1) = side.start, side.end
         length, height = x1 - x0, y0 - y1
         x_first = x0 if k == 0 else x0 + 1
         for x in range(max(1, x_first), x1 + 1):
-            count += max(0, (y0 * length - height * (x - x0)) // length)
-    return count
+            yield x, (y0 * length - height * (x - x0)) // length
+
+
+def _principal_lattice_count(principal_sides) -> int:
+    """Lattice points (x>=1, y>=1) on or below the principal polygon."""
+    return sum([h for _, h in _lattice_columns(principal_sides)])
 
 
 def phi_index(f: IntPolynomial, phi: IntPolynomial, p: int) -> int:
@@ -225,12 +226,9 @@ def render_polygon(polygon: NewtonPolygon, width: int = 3) -> str:
     grid = {}
     for x, y in pts:
         grid[(x, y)] = "."
-    for k, side in enumerate(polygon.principal_sides):
-        x_first = side.start[0] if k == 0 else side.start[0] + 1
-        for x in range(max(1, x_first), side.end[0] + 1):
-            yy = side.y_at(x)
-            for y in range(1, yy.numerator // yy.denominator + 1):
-                grid[(x, y)] = "x"
+    for x, h in _lattice_columns(polygon.principal_sides):
+        for y in range(1, h + 1):
+            grid[(x, y)] = "x"
     for v in polygon.vertices:
         grid[v] = "o"
     lines = []

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,28 @@ class TestCliCommands:
         doc = json.loads(target.read_text())
         assert doc["results"]["engine"]["status"] == "MONOGENIC_Z_ALPHA"
 
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    def test_out_file_unwritable(self, tmp_path, capsys, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        assert main(["classify", "--m", "33", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--m", "33"],
+            ["factor", "--f", "x^12-13", "--p", "2"],
+            ["polygon", "--f", "x^12-41", "--phi", "x-1", "--p", "2"],
+        ],
+    )
+    def test_csv_only_for_sweep(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
     def test_exit_code_domain_error(self, capsys):
         assert main(["classify", "--m", "12"]) == 1
         assert "error" in capsys.readouterr().err
@@ -213,6 +236,11 @@ class TestCliCommands:
         monkeypatch.delenv("OREFACTOR_SQUAREFREE_BOUND")
         assert main(["classify", "--m", str(m)]) in (0, 1)
 
+    def test_squarefree_bound_governs_theorem_route(self, capsys, monkeypatch):
+        monkeypatch.setenv("OREFACTOR_SQUAREFREE_BOUND", "50")
+        assert main(["classify", "--m", str(101 * 103), "--mode", "theorem"]) == 1
+        assert "certify" in capsys.readouterr().err
+
     def test_squarefree_bound_env_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("OREFACTOR_SQUAREFREE_BOUND", "abc")
         assert main(["classify", "--m", "33"]) == 2
@@ -244,3 +272,27 @@ class TestCanonicalJson:
         report = {"b": [1, 2], "a": {"y": "2", "x": None}}
         once = to_canonical_json(report)
         assert to_canonical_json(json.loads(once)) == once
+
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+class TestCliGoldens:
+    """The benchmark's cli_cold mix, run in process: stdout must match the
+    checked-in golden output byte for byte."""
+
+    CASES = {
+        "factor_x12m13_p2": ["factor", "--f", "x^12-13", "--p", "2", "--format", "json"],
+        "factor_x12m13_p3": ["factor", "--f", "x^12-13", "--p", "3", "--format", "json"],
+        "polygon_x12m41_p2": [
+            "polygon", "--f", "x^12-41", "--phi", "x-1", "--p", "2", "--format", "json"
+        ],
+        "classify_m33": ["classify", "--m", "33", "--format", "json"],
+        "sweep_m50_50": ["sweep", "--range=-50..50", "--format", "csv"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_golden(self, capsys, name):
+        manifest = json.loads((GOLDEN_DIR / "manifest.json").read_text())
+        assert main(self.CASES[name]) == manifest[name]["exit"]
+        assert capsys.readouterr().out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()

@@ -83,6 +83,11 @@ class TestSquarefreeCertifiedOnce:
         assert len(rows) == 8  # 2, 3, 5, 6, 7, 10, 11, 13
         assert calls == list(range(2, 14))
 
+    def test_classify_both_routes(self, calls, capsys):
+        assert cli.main(["classify", "--m", "-70", "--mode", "both"]) == 0
+        assert "routes agree: yes" in capsys.readouterr().out
+        assert calls == [-70]
+
 
 class TestTheoremRoute:
     def test_monogenic_examples(self):
@@ -134,15 +139,6 @@ class TestWitnessCounting:
         # m = 33: both f=1 (3 > 2) and f=2 (3 > 1) violate; report f=1
         rep = ore_factor(IntPolynomial.pure(12, 33), 2)
         assert witness_nonmonogenic(rep) == (1, 3, 2)
-
-    def test_requires_regular_report(self):
-        from orefactor.ore import PrimeFactorization
-
-        fake = PrimeFactorization(
-            p=2, ideals=(), is_regular=False, index_valuation=1, index_is_exact=False
-        )
-        with pytest.raises(ValueError):
-            witness_nonmonogenic(fake)
 
 
 class TestEngineRoute:

