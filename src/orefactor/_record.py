@@ -1,0 +1,39 @@
+"""Record: the base of the package's frozen value types.
+
+A subclass names its fields in _fields, holds them in __slots__, and
+writes its own __init__ that stores each field with object.__setattr__.
+Record adds what a frozen dataclass would: equality and hash over the
+fields, between instances of one type only; a repr that names every
+field; no assignment or deletion; and pickling and copying through the
+constructor.  Frozen dataclasses cost each CLI process the import of
+dataclasses (with inspect, ast and dis) and generated code per class.
+"""
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())

@@ -8,6 +8,13 @@ support never truncate; structural values (degrees, vertices, e, f,
 indices) stay plain ints.
 
 Exit codes: 0 success, 1 domain error, 2 parse/usage error.
+
+Size contract: factor and polygon refuse a polynomial f or phi of degree
+above _MAX_DEGREE, and classify refuses n above it (exit 1).  The
+library itself has no such limit.  Its cost grows about as the cube of
+the degree, and further with log p; at _MAX_DEGREE a call over a small
+prime takes about a second, where the parser alone would let degrees
+up to _MAX_EXPONENT through.
 """
 
 from __future__ import annotations
@@ -30,10 +37,11 @@ from .monogenity import (
     _classify_theorem,
 )
 from .ore import _analyze, _factorization, _phi_report, dedekind_test
-from .polygon import render_polygon
+from .polygon import _expand, render_polygon
 
 ENV_SQUAREFREE_BOUND = "OREFACTOR_SQUAREFREE_BOUND"
 _MAX_EXPONENT = 100_000
+_MAX_DEGREE = 100  # the paper needs 12
 
 
 class NonIntegerCoefficient(PolyParseError):
@@ -240,6 +248,13 @@ def _divisor_candidates(n: int, cap: int = 10_000):
 # subcommand handlers: each returns the report dict
 
 
+def _check_size(name: str, degree: int) -> None:
+    if degree > _MAX_DEGREE:
+        raise EngineError(
+            f"{name} = {degree} is above the CLI's size limit D = {_MAX_DEGREE}"
+        )
+
+
 def _classify_routes(inp: PureFieldInput, mode: str) -> tuple:
     """(theorem verdict, engine verdict, agree) on one certified input; None
     for a route that mode leaves out, and agree None unless both ran."""
@@ -256,6 +271,7 @@ def _cmd_classify(args) -> dict:
             f"the congruence route only covers n = 12 (got n = {args.n}); "
             "use --mode engine"
         )
+    _check_size("n", args.n)
     inp = PureFieldInput(m=args.m, n=args.n, squarefree_bound=bound)
     theorem, engine, agree = _classify_routes(inp, args.mode)
     results: dict = {}
@@ -275,6 +291,7 @@ def _cmd_factor(args) -> dict:
         raise EngineError("f must have degree >= 1")
     if not f.is_monic():
         raise EngineError("f must be monic")
+    _check_size("deg f", f.degree)
     notes = _irreducibility_screen(f)
     verdict = dedekind_test(f, p)
     reports = _analyze(f, p)
@@ -306,7 +323,9 @@ def _cmd_polygon(args) -> dict:
     f = parse_poly(args.f)
     phi = parse_poly(args.phi)
     p = args.p
-    pd = _polygon_dict(_phi_report(f, phi, p))
+    _check_size("deg f", f.degree)
+    _check_size("deg phi", phi.degree)
+    pd = _polygon_dict(_phi_report(*_expand(f, phi, p)))
     return _report("polygon", {"f": str(f), "phi": str(phi), "p": str(p)}, pd)
 
 

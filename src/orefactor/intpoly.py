@@ -11,8 +11,8 @@ is the module-level INFINITY singleton (it compares above every int).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import NonMonicModulus, NonPrime
 
 
@@ -355,12 +355,14 @@ def _vp_poly(P: IntPolynomial, p: int):
     return best
 
 
-@dataclass(frozen=True)
-class PhiExpansion:
+class PhiExpansion(Record):
     """f written in base phi: f = sum terms[i] * phi^i, deg(terms[i]) < deg(phi)."""
 
-    phi: IntPolynomial
-    terms: tuple
+    __slots__ = _fields = ("phi", "terms")
+
+    def __init__(self, phi: IntPolynomial, terms: tuple):
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "terms", terms)
 
     def recompose(self) -> IntPolynomial:
         acc = IntPolynomial([])

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import (
     ExcludedM,
     ExcludedN,
@@ -66,22 +66,25 @@ def prime_factors_squarefree(m: int, bound: int = DEFAULT_SQUAREFREE_BOUND):
     return primes
 
 
-@dataclass(frozen=True)
-class PureFieldInput:
-    """Validated parameters (n, m) of a pure field Q(m^(1/n))."""
+class PureFieldInput(Record):
+    """Validated parameters (n, m) of a pure field Q(m^(1/n)).
 
-    m: int
-    n: int = 12
-    squarefree_bound: int = DEFAULT_SQUAREFREE_BOUND
-    _m_primes: list = field(init=False, repr=False, compare=False)
+    _m_primes, the prime factors of m certified on construction, is kept
+    out of the fields: equality, hash and repr ignore it.
+    """
 
-    def __post_init__(self):
-        if self.m in (-1, 0, 1):
-            raise ExcludedM(f"m = {self.m} does not define a pure field here")
-        if self.n < 2:
-            raise ExcludedN(f"n must be at least 2 (got n = {self.n})")
-        primes = prime_factors_squarefree(self.m, self.squarefree_bound)
-        object.__setattr__(self, "_m_primes", primes)
+    _fields = ("m", "n", "squarefree_bound")
+    __slots__ = _fields + ("_m_primes",)
+
+    def __init__(self, m: int, n: int = 12, squarefree_bound: int = DEFAULT_SQUAREFREE_BOUND):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "squarefree_bound", squarefree_bound)
+        if m in (-1, 0, 1):
+            raise ExcludedM(f"m = {m} does not define a pure field here")
+        if n < 2:
+            raise ExcludedN(f"n must be at least 2 (got n = {n})")
+        object.__setattr__(self, "_m_primes", prime_factors_squarefree(m, squarefree_bound))
 
     def polynomial(self) -> IntPolynomial:
         return IntPolynomial.pure(self.n, self.m)
@@ -97,8 +100,7 @@ class Status(enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class MonogenityVerdict:
+class MonogenityVerdict(Record):
     """Classification result.
 
     Engine verdicts of NOT_MONOGENIC always carry at least one witness
@@ -106,14 +108,36 @@ class MonogenityVerdict:
     congruence test never counts ideals.
     """
 
-    m: int
-    n: int
-    status: Status
-    witness: tuple | None = None
-    witnesses: tuple = ()
-    per_prime_reports: tuple = ()
-    index_valuations: tuple = ()  # (p, valuation-or-bound, exact)
-    notes: tuple = ()
+    __slots__ = _fields = (
+        "m",
+        "n",
+        "status",
+        "witness",
+        "witnesses",
+        "per_prime_reports",
+        "index_valuations",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        status: Status,
+        witness: tuple | None = None,
+        witnesses: tuple = (),
+        per_prime_reports: tuple = (),
+        index_valuations: tuple = (),  # (p, valuation-or-bound, exact)
+        notes: tuple = (),
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "per_prime_reports", per_prime_reports)
+        object.__setattr__(self, "index_valuations", index_valuations)
+        object.__setattr__(self, "notes", notes)
 
 
 def classify_theorem(m: int, n: int = 12) -> MonogenityVerdict:

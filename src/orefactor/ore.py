@@ -24,49 +24,60 @@ assumed, not verified.  Inputs that are visibly incompatible with it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
+from ._record import Record
 from .errors import IndexDivisible, NonMonicModulus, NotRegular, RepeatedFactor
-from .ffield import ExtPolynomial, FpPolynomial, factor_ext, factor_mod_p
-from .intpoly import IntPolynomial
-from .polygon import NewtonPolygon, _expand, _polygon, _principal_lattice_count, _residual
+from .ffield import ExtPolynomial, FpPolynomial, ResidueField, factor_ext, factor_mod_p
+from .intpoly import IntPolynomial, phi_expand
+from .polygon import NewtonPolygon, _polygon, _principal_lattice_count, _residual
 
 
-@dataclass(frozen=True)
-class DedekindVerdict:
+class DedekindVerdict(Record):
     """Outcome of the index-divisibility test at p."""
 
-    divides_index: bool
-    failing_phi: FpPolynomial | None = None
+    __slots__ = _fields = ("divides_index", "failing_phi")
+
+    def __init__(self, divides_index: bool, failing_phi: FpPolynomial | None = None):
+        object.__setattr__(self, "divides_index", divides_index)
+        object.__setattr__(self, "failing_phi", failing_phi)
 
 
-@dataclass(frozen=True)
-class PrimeIdealData:
+class PrimeIdealData(Record):
     """One prime of Z_K above p: ramification index e and residue degree f.
 
-    side_slope and residual_factor record the polygon provenance; both
-    are None for ideals read off a plain mod-p factor (Kummer route or
-    an exact lifted factor of f).
+    side_slope (an exact Fraction) and residual_factor record the polygon
+    provenance; both are None for ideals read off a plain mod-p factor
+    (Kummer route or an exact lifted factor of f).
     """
 
-    phi: FpPolynomial
-    e: int
-    f: int
-    side_slope: Fraction | None = None
-    residual_factor: ExtPolynomial | None = None
+    __slots__ = _fields = ("phi", "e", "f", "side_slope", "residual_factor")
+
+    def __init__(
+        self,
+        phi: FpPolynomial,
+        e: int,
+        f: int,
+        side_slope=None,
+        residual_factor: ExtPolynomial | None = None,
+    ):
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "side_slope", side_slope)
+        object.__setattr__(self, "residual_factor", residual_factor)
 
     def ef(self) -> tuple:
         return (self.e, self.f)
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(Record):
     """Shape of p Z_K: the multiset of (e, f) and the exact v_p of the index."""
 
-    p: int
-    ideals: tuple
-    index_valuation: int
+    __slots__ = _fields = ("p", "ideals", "index_valuation")
+
+    def __init__(self, p: int, ideals: tuple, index_valuation: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "ideals", ideals)
+        object.__setattr__(self, "index_valuation", index_valuation)
 
     def ef_multiset(self):
         return sorted(i.ef() for i in self.ideals)
@@ -129,23 +140,42 @@ def kummer_factor(f: IntPolynomial, p: int) -> PrimeFactorization:
     return PrimeFactorization(p=p, ideals=ideals, index_valuation=0)
 
 
-@dataclass(frozen=True)
-class _PhiReport:
+class _PhiReport(Record):
     """Everything the engine learns about one irreducible factor phi of f mod p."""
 
-    phibar: FpPolynomial
-    multiplicity: int  # of phibar in f mod p; 0 when phi was not read off f mod p
-    exact_power: int  # the power of phi dividing f over Z
-    polygon: NewtonPolygon
-    residuals: tuple
-    residual_factors: tuple  # factor_ext of each residual, in side order
-    index: int
+    __slots__ = _fields = (
+        "phibar",
+        "multiplicity",
+        "exact_power",
+        "polygon",
+        "residuals",
+        "residual_factors",
+        "index",
+    )
+
+    def __init__(
+        self,
+        phibar: FpPolynomial,
+        multiplicity: int,  # of phibar in f mod p; 0 when phi was not read off f mod p
+        exact_power: int,  # the power of phi dividing f over Z
+        polygon: NewtonPolygon,
+        residuals: tuple,
+        residual_factors: tuple,  # factor_ext of each residual, in side order
+        index: int,
+    ):
+        object.__setattr__(self, "phibar", phibar)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "exact_power", exact_power)
+        object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "residual_factors", residual_factors)
+        object.__setattr__(self, "index", index)
 
 
-def _phi_report(f: IntPolynomial, phi: IntPolynomial, p: int, multiplicity: int = 0):
-    """Everything the engine learns about phi, which must be monic with
-    irreducible reduction mod p (building F_phi checks it, once per field)."""
-    expansion, field = _expand(f, phi, p)
+def _phi_report(expansion, field: ResidueField, multiplicity: int = 0):
+    """Everything the engine learns about phi = expansion.phi from the
+    expansion of f and F_phi, the field of phi mod p."""
+    p = field.p
     poly = _polygon(expansion, p)
     residuals = tuple([_residual(expansion, field, s) for s in poly.principal_sides])
     return _PhiReport(
@@ -155,17 +185,21 @@ def _phi_report(f: IntPolynomial, phi: IntPolynomial, p: int, multiplicity: int 
         polygon=poly,
         residuals=residuals,
         residual_factors=tuple([factor_ext(r.poly) for r in residuals]),
-        index=phi.degree * _principal_lattice_count(poly.principal_sides),
+        index=expansion.phi.degree * _principal_lattice_count(poly.principal_sides),
     )
 
 
 def _analyze(f: IntPolynomial, p: int):
-    """The _phi_report of every phi dividing f mod p, in factor order."""
+    """The _phi_report of every phi dividing f mod p, in factor order.
+
+    Each phibar is already reduced, monic and irreducible, so it goes
+    straight to ResidueField.get; only a user's phi needs polygon._expand.
+    """
     _require_monic(f)
     reports = []
     for phibar, mult in factor_mod_p(f, p):
         lift = phibar.lift()
-        report = _phi_report(f, lift, p, mult)
+        report = _phi_report(phi_expand(f, lift), ResidueField.get(p, phibar), mult)
         if report.exact_power >= 2:
             raise RepeatedFactor(
                 f"f is divisible by ({lift})^{report.exact_power} over Z; "

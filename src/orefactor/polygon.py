@@ -10,16 +10,15 @@ zero-slope tails are kept on the full polygon but never consumed downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import NonMonicModulus, ZeroModP
 from .ffield import ExtPolynomial, FpPolynomial, ResidueField
 from .intpoly import IntPolynomial, _vp_poly, phi_expand
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(Record):
     """One segment of a Newton polygon.
 
     length is the x-projection, height the y-projection (positive for
@@ -28,8 +27,11 @@ class Side:
     reduced slope and becomes the ramification index downstream.
     """
 
-    start: tuple
-    end: tuple
+    __slots__ = _fields = ("start", "end")
+
+    def __init__(self, start: tuple, end: tuple):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
     @property
     def length(self) -> int:
@@ -70,13 +72,22 @@ class Side:
         )
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    phi: IntPolynomial
-    p: int
-    points: tuple  # finite valuation points (i, v), ascending in i
-    sides: tuple  # all hull sides, slopes strictly increasing
-    principal_sides: tuple  # the negative-slope prefix
+class NewtonPolygon(Record):
+    __slots__ = _fields = ("phi", "p", "points", "sides", "principal_sides")
+
+    def __init__(
+        self,
+        phi: IntPolynomial,
+        p: int,
+        points: tuple,  # finite valuation points (i, v), ascending in i
+        sides: tuple,  # all hull sides, slopes strictly increasing
+        principal_sides: tuple,  # the negative-slope prefix
+    ):
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "principal_sides", principal_sides)
 
     @property
     def vertices(self) -> tuple:
@@ -147,12 +158,14 @@ def build_polygon(f: IntPolynomial, phi: IntPolynomial, p: int) -> NewtonPolygon
     return _polygon(_expand(f, phi, p)[0], p)
 
 
-@dataclass(frozen=True)
-class ResidualPolynomial:
+class ResidualPolynomial(Record):
     """Residual polynomial of one principal side, over F_phi."""
 
-    side: Side
-    poly: ExtPolynomial
+    __slots__ = _fields = ("side", "poly")
+
+    def __init__(self, side: Side, poly: ExtPolynomial):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "poly", poly)
 
     @property
     def field(self) -> ResidueField:

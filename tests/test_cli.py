@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import random
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import is_squarefree_int, run_snippet
+from conftest import FUZZ_SEED, is_squarefree_int, run_snippet
 from orefactor.cli import (
     NonIntegerCoefficient,
     main,
@@ -15,6 +18,7 @@ from orefactor.cli import (
 )
 from orefactor.errors import PolyParseError
 from orefactor.intpoly import IntPolynomial
+from orefactor.ore import ore_factor
 
 
 class TestParsePoly:
@@ -265,6 +269,113 @@ class TestCliCommands:
         assert main(["factor", "--f", "x^2-4*x+3", "--p", "2"]) == 0
         out = capsys.readouterr().out
         assert "reducible" in out
+
+
+class TestSizeLimit:
+    """The CLI's size contract: degree (and n) up to D = 100 is answered,
+    above it refused with exit 1; the library itself has no limit."""
+
+    def test_enormous_degree_refused_quickly(self):
+        proc = run_snippet(
+            "import sys\n"
+            "from orefactor.cli import main\n"
+            "sys.exit(main(['factor', '--f', 'x^99999-2', '--p', '3']))",
+            timeout=2.0,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "error: deg f = 99999 is above the CLI's size limit D = 100\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["factor", "--f", "x^100-2", "--p", "2"], None),
+            (["factor", "--f", "x^101-2", "--p", "2"], "deg f = 101"),
+            (["polygon", "--f", "x^100-2", "--phi", "x", "--p", "2"], None),
+            (["polygon", "--f", "x^101-2", "--phi", "x", "--p", "2"], "deg f = 101"),
+            (["polygon", "--f", "x^2-2", "--phi", "x^101+x+1", "--p", "2"], "deg phi = 101"),
+            (["classify", "--m", "2", "--n", "100", "--mode", "engine"], None),
+            (["classify", "--m", "2", "--n", "101", "--mode", "engine"], "n = 101"),
+        ],
+    )
+    def test_boundary(self, capsys, argv, refused):
+        code = main(argv)
+        err = capsys.readouterr().err
+        if refused is None:
+            assert code == 0, err
+        else:
+            assert code == 1
+            assert err == f"error: {refused} is above the CLI's size limit D = 100\n"
+
+    def test_library_keeps_no_limit(self):
+        f = IntPolynomial.pure(150, 2)
+        assert ore_factor(f, 2).ef_multiset() == [(150, 1)]
+
+
+# Option values: small ints, zero, negatives and huge ints (a prime, a
+# pseudoprime, powers); a prime m above the squarefree trial bound costs
+# about 1 s of trial division, the largest cost drawn here.
+_HUGE = [2**61 - 1, -(2**64), 10**30, -(10**30), 2**64 - 1, 3317044064679887385961981]
+_INTS = st.one_of(st.integers(-40, 40), st.sampled_from(_HUGE))
+_PRIMES = st.one_of(st.sampled_from([2, 3, 5, 7, 13, 97, 10**9 + 7, 2**61 - 1]), _INTS)
+# Polynomials: monic of degree <= 12, non-monic or constant, degree above
+# the size limit, and malformed text.  Legal degrees between 12 and D are
+# left to TestSizeLimit: over a prime near 2^61 they cost seconds each.
+_POLYS = st.one_of(
+    st.lists(st.integers(-50, 50), max_size=12).map(lambda cs: str(IntPolynomial(cs + [1]))),
+    st.lists(_INTS, max_size=6).map(lambda cs: str(IntPolynomial(cs))),
+    st.sampled_from([101, 1000, 99999, 100000, 100001]).map(lambda d: f"x^{d}-2"),
+    st.text(alphabet="x^+-*.12 y", max_size=12),
+)
+# Ranges: short ones, empty (reversed) ones, one huge m, and malformed
+# text short enough that a well-formed one spans at most a few hundred m.
+_RANGES = st.one_of(
+    st.tuples(st.integers(-40, 40), st.integers(0, 12)).map(lambda t: f"{t[0]}..{t[0] + t[1]}"),
+    st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(lambda t: f"{t[0]}..{t[0] - t[1]}"),
+    st.sampled_from(_HUGE).map(lambda h: f"{h}..{h}"),
+    st.text(alphabet="0123.- ", max_size=6),
+)
+_MODES = st.sampled_from(["theorem", "engine", "both", "neither"])
+
+
+@st.composite
+def _argvs(draw):
+    def option(name, values, required=True):
+        if not required and draw(st.booleans()):
+            return []
+        value = str(draw(values))
+        # "--m -5" is an argparse error (exit 2); "--m=-5" passes the value
+        return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+
+    command = draw(st.sampled_from(["classify", "factor", "polygon", "sweep"]))
+    argv = [command]
+    if command == "classify":
+        argv += option("m", _INTS)
+        argv += option("n", st.one_of(_INTS, st.sampled_from([12, 100, 101])), required=False)
+        argv += option("mode", _MODES, required=False)
+    elif command == "factor":
+        argv += option("f", _POLYS) + option("p", _PRIMES)
+    elif command == "polygon":
+        argv += option("f", _POLYS) + option("phi", _POLYS) + option("p", _PRIMES)
+    else:
+        argv += option("range", _RANGES) + option("mode", _MODES, required=False)
+        argv += option("mod4", _INTS, required=False) + option("mod9", _INTS, required=False)
+    return argv + option("format", st.sampled_from(["text", "json", "csv"]), required=False)
+
+
+class TestCliFuzz:
+    @seed(FUZZ_SEED)
+    @settings(max_examples=150, deadline=timedelta(seconds=10), database=None)
+    @given(argv=_argvs())
+    def test_every_argv_ends_in_an_exit_code(self, argv):
+        """Exit 0, 1 or 2, or argparse's SystemExit(2); never a traceback."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                return
+        assert code in (0, 1, 2), argv
 
 
 class TestCanonicalJson:
