@@ -42,6 +42,7 @@ from .polygon import _expand, render_polygon
 ENV_SQUAREFREE_BOUND = "OREFACTOR_SQUAREFREE_BOUND"
 _MAX_EXPONENT = 100_000
 _MAX_DEGREE = 100  # the paper needs 12
+_DIVISOR_SCAN_CAP = 10_000  # rational-root screen: divisors tried up to this
 
 
 class NonIntegerCoefficient(PolyParseError):
@@ -239,8 +240,8 @@ def _irreducibility_screen(f: IntPolynomial) -> list[str]:
     ]
 
 
-def _divisor_candidates(n: int, cap: int = 10_000):
-    small = [d for d in range(1, min(math.isqrt(n), cap) + 1) if n % d == 0]
+def _divisor_candidates(n: int):
+    small = [d for d in range(1, min(math.isqrt(n), _DIVISOR_SCAN_CAP) + 1) if n % d == 0]
     return sorted({x for d in small for x in (d, n // d)})
 
 

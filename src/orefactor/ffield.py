@@ -193,9 +193,6 @@ class ResidueField:
     def from_int(self, c: int) -> ResidueFieldElem:
         return ResidueFieldElem(self, c % self.p)
 
-    def from_int_poly(self, f: IntPolynomial) -> ResidueFieldElem:
-        return self.element(FpPolynomial(self.p, f.coeffs))
-
     def zero(self) -> ResidueFieldElem:
         return ResidueFieldElem(self, 0)
 
@@ -450,10 +447,6 @@ class FpPolynomial(_FieldPolynomial):
         self.coeffs = _trimmed([c % p for c in coeffs])
 
     @staticmethod
-    def from_int_poly(f: IntPolynomial, p: int) -> FpPolynomial:
-        return FpPolynomial(p, f.coeffs)
-
-    @staticmethod
     def x(p: int) -> FpPolynomial:
         return FpPolynomial(p, (0, 1))
 
@@ -591,10 +584,7 @@ def _squarefree_split(g):
     out = []
     if g.degree < 1:
         return out
-    d = g.derivative()
-    if d.is_zero():
-        return [(h, mult * g.field.p) for h, mult in _squarefree_split(_p_th_root(g))]
-    c = g.gcd(d)
+    c = g.gcd(g.derivative())
     w = g // c
     i = 1
     while w.degree > 0:
@@ -692,7 +682,7 @@ def factor_mod_p(f: IntPolynomial, p: int):
     coefficient order).  Results are cached on the reduced polynomial,
     for the _CACHE_LIMIT most recently used inputs.
     """
-    fp = FpPolynomial.from_int_poly(f, p)
+    fp = FpPolynomial(p, f.coeffs)
     if fp.is_zero():
         raise ZeroModP(f"polynomial vanishes identically mod {p}")
     return _cached(

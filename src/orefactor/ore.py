@@ -2,7 +2,8 @@
 
 Three routes, increasingly powerful:
 
-* dedekind_test decides whether p divides the index (Z_K : Z[alpha]).
+* dedekind_test decides whether p divides the index (Z_K : Z[alpha]):
+  it does iff v_p(f mod phi) >= 2 for a repeated factor phi of f mod p.
 * kummer_factor reads the splitting of p straight off the factorization
   of f mod p; valid exactly when the index test passes.
 * ore_factor splits p through Newton polygons and residual polynomials;
@@ -27,7 +28,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import IndexDivisible, NonMonicModulus, NotRegular, RepeatedFactor
 from .ffield import ExtPolynomial, FpPolynomial, ResidueField, factor_ext, factor_mod_p
-from .intpoly import IntPolynomial, phi_expand
+from .intpoly import IntPolynomial, _vp_poly, phi_expand
 from .polygon import NewtonPolygon, _polygon, _principal_lattice_count, _residual
 
 
@@ -97,26 +98,20 @@ def _require_monic(f: IntPolynomial) -> None:
 def dedekind_test(f: IntPolynomial, p: int) -> DedekindVerdict:
     """Does p divide (Z_K : Z[alpha])?
 
-    Computes M = (f - prod lifted_factors^l) / p with the canonical
-    [0, p) lifts and applies the classical criterion: the index is
-    p-free iff no repeated factor of f mod p divides M mod p.
+    Dedekind's criterion on the first phi-adic digit: it does iff some phi
+    of multiplicity >= 2 in f mod p has v_p(f mod phi) >= 2, dividing by
+    the monic [0, p) lift over Z.  That lift divides the lifted product,
+    so f mod phi = p * (M mod phi) for M = (f - lifted product) / p.
     """
     _require_monic(f)
-    factors = factor_mod_p(f, p)
-    product = IntPolynomial([1])
-    for phibar, mult in factors:
-        product = product * phibar.lift() ** mult
-    diff = f - product
-    m_coeffs = []
-    for c in diff.coeffs:
-        if c % p:
-            raise AssertionError("f and its lifted factorization differ mod p")
-        m_coeffs.append(c // p)
-    m_bar = FpPolynomial(p, m_coeffs)
-    for phibar, mult in factors:
-        if mult >= 2 and (m_bar % phibar).is_zero():
-            return DedekindVerdict(divides_index=True, failing_phi=phibar)
-    return DedekindVerdict(divides_index=False)
+    failing = None
+    for phibar, mult in factor_mod_p(f, p):
+        v = _vp_poly(f % phibar.lift(), p)
+        if v == 0:
+            raise AssertionError(f"{phibar} does not divide f mod {p}")
+        if mult >= 2 and v >= 2 and failing is None:
+            failing = phibar
+    return DedekindVerdict(divides_index=failing is not None, failing_phi=failing)
 
 
 def kummer_factor(f: IntPolynomial, p: int) -> PrimeFactorization:

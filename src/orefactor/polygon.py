@@ -17,6 +17,8 @@ from .errors import NonMonicModulus, ZeroModP
 from .ffield import ExtPolynomial, FpPolynomial, ResidueField
 from .intpoly import IntPolynomial, _vp_poly, phi_expand
 
+_CELL_WIDTH = 3  # characters per abscissa in render_polygon
+
 
 class Side(Record):
     """One segment of a Newton polygon.
@@ -130,7 +132,7 @@ def _expand(f: IntPolynomial, phi: IntPolynomial, p: int):
     """
     if not phi.is_monic():
         raise NonMonicModulus("phi must be monic")
-    field = ResidueField.get(p, FpPolynomial.from_int_poly(phi, p))
+    field = ResidueField.get(p, FpPolynomial(p, phi.coeffs))
     return phi_expand(f, phi), field
 
 
@@ -184,8 +186,8 @@ def _residual(expansion, field: ResidueField, side: Side) -> ResidualPolynomial:
     """The residual polynomial of side, read off the expansion of f.
 
     Coefficient t_i comes from the expansion term at the i-th integer
-    point of the side: terms on the side are divided by the exact power
-    of p and reduced mod (p, phi); points strictly above contribute 0.
+    point of the side: a term on the side, over the exact power of p, is
+    the element of F_phi with those digits; points above contribute 0.
     """
     p = field.p
     terms = expansion.terms
@@ -193,14 +195,10 @@ def _residual(expansion, field: ResidueField, side: Side) -> ResidualPolynomial:
     for idx, y in side.lattice_points():
         a = terms[idx] if idx < len(terms) else IntPolynomial([])
         v = _vp_poly(a, p)
-        if v == y:
-            scaled = IntPolynomial([c // p**y for c in a.coeffs])
-            coeffs.append(field.from_int_poly(scaled))
-        else:
-            if v < y:  # impossible below the hull
-                raise AssertionError("valuation point below its own hull")
-            coeffs.append(field.zero())
-    poly = ExtPolynomial(field, coeffs)
+        if v < y:  # impossible below the hull
+            raise AssertionError("valuation point below its own hull")
+        coeffs.append(field.from_digits([c // p**y for c in a.coeffs]) if v == y else 0)
+    poly = ExtPolynomial._make(field, coeffs)
     if poly.degree != side.degree:
         raise AssertionError("residual degree must equal the side degree")
     return ResidualPolynomial(side=side, poly=poly)
@@ -228,7 +226,7 @@ def phi_index(f: IntPolynomial, phi: IntPolynomial, p: int) -> int:
     return phi.degree * _principal_lattice_count(poly.principal_sides)
 
 
-def render_polygon(polygon: NewtonPolygon, width: int = 3) -> str:
+def render_polygon(polygon: NewtonPolygon) -> str:
     """Plain-text sketch: 'o' hull vertices, 'x' counted lattice points,
     '.' other valuation points."""
     pts = polygon.points
@@ -246,8 +244,8 @@ def render_polygon(polygon: NewtonPolygon, width: int = 3) -> str:
         grid[v] = "o"
     lines = []
     for y in range(ymax, -1, -1):
-        cells = "".join(grid.get((x, y), " ").ljust(width) for x in range(xmax + 1))
+        cells = "".join(grid.get((x, y), " ").ljust(_CELL_WIDTH) for x in range(xmax + 1))
         lines.append(f"{y:3d} | {cells.rstrip()}")
-    lines.append("    +-" + "-" * (width * (xmax + 1)))
-    lines.append("      " + "".join(str(x).ljust(width) for x in range(xmax + 1)))
+    lines.append("    +-" + "-" * (_CELL_WIDTH * (xmax + 1)))
+    lines.append("      " + "".join(str(x).ljust(_CELL_WIDTH) for x in range(xmax + 1)))
     return "\n".join(lines)

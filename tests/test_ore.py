@@ -1,14 +1,15 @@
-import sys
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import patch_everywhere, run_snippet
+from conftest import FUZZ_PRIMES, FUZZ_SEED, patch_everywhere, run_snippet
 from orefactor import cli, ffield, intpoly
 from orefactor.errors import IndexDivisible, NotRegular, RepeatedFactor
-from orefactor.ffield import ResidueField, _FieldPolynomial, factor_mod_p
+from orefactor.ffield import FpPolynomial, ResidueField, _FieldPolynomial, factor_mod_p
 from orefactor.intpoly import IntPolynomial
 from orefactor.ore import (
+    _analyze,
     dedekind_test,
     is_p_regular,
     kummer_factor,
@@ -51,6 +52,48 @@ class TestDedekind:
                 assert verdict.divides_index == (value > 0)
                 if value == 0:
                     assert exact
+
+
+class TestDedekindCriterion:
+    """failing_phi is the first factor, in factor_mod_p order, whose
+    phi-index is positive, and None iff there is none: Dedekind's test
+    checked against the polygon route."""
+
+    @staticmethod
+    def divides(f, p):
+        try:
+            reports = _analyze(f, p)
+        except RepeatedFactor:
+            return None
+        verdict = dedekind_test(f, p)
+        expected = next((r.phibar for r in reports if r.index > 0), None)
+        assert verdict.failing_phi == expected, (str(f), p)
+        assert verdict.divides_index == (expected is not None), (str(f), p)
+        return verdict.divides_index
+
+    def test_fuzz_corpus(self, fuzz_corpus):
+        assert sum(self.divides(f, p) for f, p in fuzz_corpus) == 42
+
+    def test_coefficients_scaled_by_powers_of_p(self):
+        rng = random.Random(FUZZ_SEED + 1)
+        verdicts = Counter()
+        for _ in range(2000):
+            p = rng.choice(FUZZ_PRIMES)
+            scale = p ** rng.randint(0, 2)
+            degree = rng.randint(1, 12)
+            f = IntPolynomial([scale * rng.randint(-40, 40) for _ in range(degree)] + [1])
+            verdicts[self.divides(f, p)] += 1
+        assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
+
+    def test_factor_not_dividing_f_mod_p_fails_loudly(self, monkeypatch):
+        f = IntPolynomial([1, 0, 1])  # irreducible mod 3
+
+        def wrong(g, p):
+            return [(FpPolynomial(p, (1, 1)), 2)]  # x + 1 does not divide it
+
+        patch_everywhere(monkeypatch, factor_mod_p, wrong)
+        with pytest.raises(AssertionError, match="does not divide"):
+            dedekind_test(f, 3)
 
 
 class TestKummer:
@@ -246,11 +289,7 @@ class TestOneAnalysisPerPrime:
             certified[(g.field.key, g.coeffs)] += 1
             return is_irreducible(g)
 
-        for name, module in list(sys.modules.items()):
-            if name == "orefactor" or name.startswith("orefactor."):
-                for attr, value in list(vars(module).items()):
-                    if value is phi_expand:
-                        monkeypatch.setattr(module, attr, counted_expand)
+        patch_everywhere(monkeypatch, phi_expand, counted_expand)
         monkeypatch.setattr(_FieldPolynomial, "is_irreducible", counted_irreducible)
         monkeypatch.setattr(ResidueField, "_cache", {})
         return expanded, certified
