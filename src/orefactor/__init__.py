@@ -39,7 +39,6 @@ from .ffield import (
     FpPolynomial,
     ResidueField,
     ResidueFieldElem,
-    count_monic_irreducibles,
     factor_ext,
     factor_mod_p,
     is_squarefree_ext,
@@ -69,6 +68,7 @@ from .monogenity import (
     Status,
     classify_engine,
     classify_theorem,
+    count_monic_irreducibles,
     prime_factors_squarefree,
     witness_nonmonogenic,
 )

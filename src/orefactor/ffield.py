@@ -20,6 +20,9 @@ Representation conventions:
   construction and printing: FpPolynomial lives over F_p and prints in
   x; ExtPolynomial lives over any ResidueField and prints in y, with
   coefficients written in j.
+* Over F_p the core runs on plain int lists (_fparith.py): products are
+  summed unreduced and each output coefficient is reduced once mod p;
+  _mulmod fuses a*b mod g for pow_mod, _x_power and the _frobenius rows.
 * ResidueFieldElem is the public value type of a single element.
 
 Factoring (factor_ext, factor_mod_p) is squarefree split, distinct-degree
@@ -36,10 +39,10 @@ every run of the engine produces identical output.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import random
 
+from ._fparith import convolve, divmod_p
 from .errors import NonMonicModulus, NonPrime, ReducibleModulus, ZeroModP
 from .intpoly import IntPolynomial, _prime_divisors, is_prime
 
@@ -203,10 +206,6 @@ class ResidueField:
         """The image j of x in the residue field."""
         return self.element(FpPolynomial.x(self.p))
 
-    def elements(self):
-        """All q elements, in sort_key order (O(q); factoring never calls it)."""
-        return (ResidueFieldElem(self, v) for v in range(self.order))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ResidueField) and self.key == other.key
 
@@ -333,24 +332,35 @@ class _FieldPolynomial:
         return (self.degree, self.coeffs)
 
     def __add__(self, other):
-        add = self.field.add
+        field = self.field
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
+        if field.degree == 1:
+            p = field.p
+            for i, c in enumerate(b):
+                out[i] = (out[i] + c) % p
+            return self._new(out)
+        add = field.add
         for i, c in enumerate(b):
             out[i] = add(out[i], c)
         return self._new(out)
 
     def __neg__(self):
-        neg = self.field.neg
-        return self._new([neg(c) for c in self.coeffs])
+        field = self.field
+        if field.degree == 1:
+            return self._new([-c % field.p for c in self.coeffs])
+        return self._new([field.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        add, mul = self.field.add, self.field.mul
+        field = self.field
+        if field.degree == 1:
+            return self._new([c % field.p for c in convolve(self.coeffs, other.coeffs)])
+        add, mul = field.add, field.mul
         if not self.coeffs or not other.coeffs:
             return self._new(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -363,12 +373,15 @@ class _FieldPolynomial:
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        sub, mul = field.sub, field.mul
         d = other.degree
-        rem = list(self.coeffs)
-        if len(rem) <= d:
+        if len(self.coeffs) <= d:
             return self._new(()), self
+        field = self.field
+        if field.degree == 1:
+            quot, rem = divmod_p(list(self.coeffs), other.coeffs, field.p)
+            return self._new(quot), self._new(rem)
+        sub, mul = field.sub, field.mul
+        rem = list(self.coeffs)
         div = other.coeffs
         inv_lead = 1 if div[-1] == 1 else field.inverse(div[-1])
         quot = [0] * (len(rem) - d)
@@ -406,14 +419,14 @@ class _FieldPolynomial:
         )
 
     def pow_mod(self, e: int, modulus):
-        result = self._new((1,))
-        base = self % modulus
+        result, base = (1,), (self % modulus).coeffs
+        mulmod = _mulmod(modulus)
         while e:
             if e & 1:
-                result = result * base % modulus
-            base = base * base % modulus
+                result = mulmod(result, base)
+            base = mulmod(base, base)
             e >>= 1
-        return result
+        return self._new(result)
 
     def is_irreducible(self) -> bool:
         """Rabin's test, deterministic for any field and degree: one chain
@@ -502,14 +515,23 @@ class ExtPolynomial(_FieldPolynomial):
         return f"ExtPolynomial('{self}' over {self.field!r})"
 
 
+def _mulmod(g):
+    """(a, b) -> a*b mod g on coefficient tuples: over F_p one fused
+    product and division on int lists, over F_{p^k} the polynomial core."""
+    if g.field.degree > 1:
+        return lambda a, b: (g._new(a) * g._new(b) % g).coeffs
+    p, div = g.field.p, g.coeffs
+    return lambda a, b: _trimmed(divmod_p(convolve(a, b), div, p)[1])
+
+
 def _x_power(e: int, g):
-    """x^e mod monic g, left to right: square per bit, shift by x per set bit."""
-    r = g._new((1,))
+    """x^e mod monic g, left to right: square per bit, times x per set bit."""
+    mulmod, r = _mulmod(g), (1,)
     for bit in bin(e)[2:]:
-        r = r * r % g
+        r = mulmod(r, r)
         if bit == "1":
-            r = r._new((0,) + r.coeffs) % g
-    return r
+            r = mulmod(r, (0, 1))
+    return g._new(r)
 
 
 def _frobenius(g):
@@ -519,12 +541,12 @@ def _frobenius(g):
     exponentiation x^q mod g gives the rows x^(q*i) mod g, i < n
     (Berlekamp's Q-matrix); each application then costs n^2 field operations.
     """
-    n, field = g.degree, g.field
-    xq = _x_power(field.order, g)
-    rows = [g._new((1,))]
+    n, field, mulmod = g.degree, g.field, _mulmod(g)
+    xq = _x_power(field.order, g).coeffs
+    rows = [(1,)]
     while len(rows) < n:
-        rows.append(rows[-1] * xq % g)
-    cols = list(zip(*[r.coeffs + (0,) * (n - len(r.coeffs)) for r in rows]))
+        rows.append(mulmod(rows[-1], xq))
+    cols = list(zip(*[r + (0,) * (n - len(r)) for r in rows]))
     if field.degree == 1:
         p = field.p
         return lambda w: g._new([sum(map(operator.mul, w.coeffs, c)) % p for c in cols])
@@ -688,29 +710,3 @@ def factor_mod_p(f: IntPolynomial, p: int):
     return _cached(
         _FACTOR_CACHE, (p, fp.coeffs), lambda: factor_ext(fp) if fp.degree >= 1 else []
     )
-
-
-def _mobius(n: int) -> int:
-    primes = _prime_divisors(n)
-    return (-1) ** len(primes) if math.prod(primes) == n else 0
-
-
-def count_monic_irreducibles(p: int, d: int) -> int:
-    """Number of monic irreducible degree-d polynomials over F_p.
-
-    Standard necklace count: (1/d) * sum over e | d of mu(e) * p^(d/e).
-
-    >>> count_monic_irreducibles(2, 2)
-    1
-    >>> count_monic_irreducibles(3, 2)
-    3
-    """
-    if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
-    if d < 1:
-        raise ValueError("degree must be positive")
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _mobius(e) * p ** (d // e)
-    return total // d

@@ -24,12 +24,12 @@ from ._record import Record
 from .errors import (
     ExcludedM,
     ExcludedN,
+    NonPrime,
     NotRegular,
     NotSquarefree,
     RepeatedFactor,
     SquarefreeCheckInconclusive,
 )
-from .ffield import count_monic_irreducibles
 from .intpoly import IntPolynomial, _prime_divisors, is_prime
 from .ore import PrimeFactorization, ore_factor
 
@@ -152,6 +152,32 @@ def _classify_theorem(inp: PureFieldInput) -> MonogenityVerdict:
     not_monogenic = (m % 4 == 1) or (m % 9 in (1, 8))
     status = Status.NOT_MONOGENIC if not_monogenic else Status.MONOGENIC_Z_ALPHA
     return MonogenityVerdict(m=m, n=inp.n, status=status)
+
+
+def _mobius(n: int) -> int:
+    primes = _prime_divisors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
+
+
+def count_monic_irreducibles(p: int, d: int) -> int:
+    """Number of monic irreducible degree-d polynomials over F_p.
+
+    Standard necklace count: (1/d) * sum over e | d of mu(e) * p^(d/e).
+
+    >>> count_monic_irreducibles(2, 2)
+    1
+    >>> count_monic_irreducibles(3, 2)
+    3
+    """
+    if not is_prime(p):
+        raise NonPrime(f"{p} is not prime")
+    if d < 1:
+        raise ValueError("degree must be positive")
+    total = 0
+    for e in range(1, d + 1):
+        if d % e == 0:
+            total += _mobius(e) * p ** (d // e)
+    return total // d
 
 
 def witness_nonmonogenic(report: PrimeFactorization):

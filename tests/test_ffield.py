@@ -16,16 +16,21 @@ from orefactor.ffield import (
     _FieldPolynomial,
     _frobenius,
     _x_power,
-    count_monic_irreducibles,
     factor_ext,
     factor_mod_p,
     is_squarefree_ext,
 )
 from orefactor.intpoly import IntPolynomial
+from orefactor.monogenity import count_monic_irreducibles
 
 
 def fp(p, *ascending):
     return FpPolynomial(p, ascending)
+
+
+def elements(field):
+    """All q elements of the field, in sort_key order."""
+    return [ResidueFieldElem(field, v) for v in range(field.order)]
 
 
 @pytest.fixture(scope="module")
@@ -191,11 +196,11 @@ class TestResidueField:
 
     def test_order_and_elements(self, F4, F9):
         assert F4.order == 4 and F9.order == 9
-        assert len(list(F4.elements())) == 4
-        assert len(set(F9.elements())) == 9
+        assert len(elements(F4)) == 4
+        assert len(set(elements(F9))) == 9
 
     def test_field_axioms_sample(self, F9):
-        els = list(F9.elements())
+        els = elements(F9)
         for a in els:
             for b in els:
                 assert a + b == b + a
@@ -410,11 +415,11 @@ class TestRabinExhaustive:
         """Over F_q, Rabin's test accepts as many monic polynomials of
         degree d as the necklace count of monic irreducibles."""
         for field in (F4, F9):
-            elements = list(field.elements())
+            els = elements(field)
             for d in (1, 2, 3):
                 accepted = sum(
                     ExtPolynomial(field, list(tail) + [field.one()]).is_irreducible()
-                    for tail in itertools.product(elements, repeat=d)
+                    for tail in itertools.product(els, repeat=d)
                 )
                 assert accepted == _necklace_count(field.order, d), (field, d)
 
@@ -494,6 +499,108 @@ class TestOneExponentiationPerModulus:
             (fp(11, -2, *[0] * 9, 1).coeffs, 10),
         ]
         assert exponents[11] == 1
+
+
+def _z_mod(P, p):
+    """An IntPolynomial's coefficient tuple reduced into [0, p), trimmed."""
+    return IntPolynomial([c % p for c in P.coeffs]).coeffs
+
+
+def _z_powmod(w, e, g, p):
+    """w^e mod g over F_p by square-and-multiply in Z[x]: g is lifted to a
+    monic IntPolynomial, and every product is reduced mod g, then mod p."""
+    inv = pow(g[-1], -1, p)
+    G = IntPolynomial([c * inv % p for c in g[:-1]] + [1])
+    result, base = IntPolynomial([1]), IntPolynomial(_z_mod(IntPolynomial(w) % G, p))
+    while e:
+        if e & 1:
+            result = IntPolynomial(_z_mod(result * base % G, p))
+        base = IntPolynomial(_z_mod(base * base % G, p))
+        e >>= 1
+    return result.coeffs
+
+
+class TestPrimeFieldKernels:
+    """The F_p polynomial core (+, -, *, divmod, pow_mod, _x_power and the
+    rows of _frobenius) against IntPolynomial arithmetic reduced mod p,
+    which shares no code with it."""
+
+    PRIMES = (2, 3, 13, 10007, 2**61 - 1)
+
+    @staticmethod
+    def operands(rng, p):
+        """Coefficient lists: zero, constants, and for each degree up to 9
+        random ones with a random nonzero leading coefficient and monic ones."""
+        out = [[], [1], [rng.randrange(1, p)]]
+        for degree in range(1, 10):
+            for _ in range(2):
+                tail = [rng.randrange(p) for _ in range(degree)]
+                out.append(tail + [rng.randrange(1, p)])
+                out.append(tail + [1])
+        return out
+
+    @staticmethod
+    def make(p, coeffs, ext):
+        field = ResidueField.prime_field(p)
+        return ExtPolynomial.from_ints(field, coeffs) if ext else FpPolynomial(p, coeffs)
+
+    @pytest.mark.parametrize("ext", [False, True], ids=["Fp", "Ext"])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_ring_operations(self, p, ext):
+        rng = random.Random(p + ext)
+        ops = self.operands(rng, p)
+        for a, b in itertools.product(ops, rng.sample(ops, 12)):
+            A, B = IntPolynomial(a), IntPolynomial(b)
+            x, y = self.make(p, a, ext), self.make(p, b, ext)
+            assert (x + y).coeffs == _z_mod(A + B, p)
+            assert (x - y).coeffs == _z_mod(A - B, p)
+            assert (-x).coeffs == _z_mod(-A, p)
+            assert (x * y).coeffs == _z_mod(A * B, p), (p, a, b)
+            if not b:
+                with pytest.raises(ZeroDivisionError):
+                    divmod(x, y)
+                continue
+            # q, r are the quotient and remainder iff a = q*b + r, deg r < deg b
+            quot, rem = divmod(x, y)
+            assert type(quot) is type(rem) is type(x)
+            assert rem.degree < y.degree
+            check = IntPolynomial(quot.coeffs) * B + IntPolynomial(rem.coeffs) - A
+            assert _z_mod(check, p) == (), (p, a, b)
+
+    def test_divisor_of_equal_degree(self):
+        for p in self.PRIMES:
+            rng = random.Random(p)
+            for _ in range(20):
+                n = rng.randint(1, 8)
+                a = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+                b = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+                quot, rem = divmod(FpPolynomial(p, a), FpPolynomial(p, b))
+                assert quot.coeffs == (a[-1] * pow(b[-1], -1, p) % p,)
+                check = IntPolynomial(quot.coeffs) * IntPolynomial(b) + IntPolynomial(rem.coeffs)
+                assert _z_mod(check - IntPolynomial(a), p) == ()
+
+    @pytest.mark.parametrize("ext", [False, True], ids=["Fp", "Ext"])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_exponentiation_and_frobenius_rows(self, p, ext):
+        rng = random.Random(2 * p + ext)
+        exponents = (0, 1, 2, 3, p, p + 1, p * p - 1, rng.randrange(p**3))
+        for n in range(1, 9):
+            for monic in (True, False):
+                g = [rng.randrange(p) for _ in range(n)] + [1 if monic else rng.randrange(1, p)]
+                G = self.make(p, g, ext)
+                for w in ([], [rng.randrange(1, p)], [rng.randrange(p) for _ in range(n + 3)]):
+                    W = self.make(p, w, ext)
+                    for e in exponents:
+                        assert W.pow_mod(e, G).coeffs == _z_powmod(w, e, g, p), (p, g, w, e)
+                if not monic:
+                    continue
+                for e in exponents:
+                    assert _x_power(e, G).coeffs == _z_powmod([0, 1], e, g, p), (p, g, e)
+                if n >= 2:
+                    frobenius = _frobenius(G)
+                    for i in range(n):  # row i of the matrix is x^(p*i) mod g
+                        row = frobenius(self.make(p, [0] * i + [1], ext)).coeffs
+                        assert row == _z_powmod([0, 1], p * i, g, p), (p, g, i)
 
 
 def test_large_q_regression():
