@@ -1,9 +1,10 @@
 """Polynomial kernels over a prime field F_p, on plain int coefficient lists.
 
-They are the F_p path of the polynomial core in ffield.py.  Coefficients
-are ascending ints in [0, p).  Products are summed unreduced and each
-output coefficient is reduced once mod p, so no step builds a polynomial
-object or calls an element method.  Reference: von zur Gathen & Gerhard,
+They are the F_p path of the polynomial core in ffield.py; convolve is
+also IntPolynomial's product over Z.  Coefficients are ascending ints in
+[0, p) over F_p.  Products are summed unreduced and each output
+coefficient is reduced once mod p, so no step builds a polynomial object
+or calls an element method.  Reference: von zur Gathen & Gerhard,
 Modern Computer Algebra, ch. 2 (classical multiplication and division
 with remainder).
 """

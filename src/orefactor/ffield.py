@@ -8,11 +8,13 @@ Representation conventions:
   by that int gives 0 < 1 < ... < j < j + 1 < ...  F_p is the degree-one
   case (modulus x), where the int is the residue itself.
 * ResidueField owns the element operations on those ints (add, sub,
-  neg, mul, inverse, pow): plain int arithmetic mod p in F_p, digit
-  vectors reduced through the modulus in F_{p^k}.  Inverses are
-  pow(a, -1, p) in F_p and one extended Euclid over F_p against the
-  modulus in F_{p^k}.  The modulus must be monic and irreducible; both
-  are checked eagerly at construction.
+  neg, mul, inverse, pow).  add and sub work digit by digit; in F_p the
+  one digit is the residue itself.  mul, inverse and pow are int
+  arithmetic mod p in F_p.  In F_{p^k}, mul reduces the digit product
+  through the modulus, pow is pow_mod of the digit polynomial modulo the
+  modulus, and the inverse is one extended Euclid over F_p against it.
+  The modulus must be monic and irreducible; both are checked eagerly at
+  construction.
 * _FieldPolynomial is the one dense polynomial over a field: a tuple of
   element ints, ascending, trailing zeros trimmed.  Arithmetic, gcd,
   pow_mod, Rabin's irreducibility test and the factorization engine
@@ -22,7 +24,8 @@ Representation conventions:
   coefficients written in j.
 * Over F_p the core runs on plain int lists (_fparith.py): products are
   summed unreduced and each output coefficient is reduced once mod p;
-  _mulmod fuses a*b mod g for pow_mod, _x_power and the _frobenius rows.
+  _mulmod fuses a*b mod g for pow_mod, the _frobenius rows and the
+  characteristic-2 trace.  pow_mod is the only square-and-multiply.
 * ResidueFieldElem is the public value type of a single element.
 
 Factoring (factor_ext, factor_mod_p) is squarefree split, distinct-degree
@@ -43,8 +46,8 @@ import operator
 import random
 
 from ._fparith import convolve, divmod_p
-from .errors import NonMonicModulus, NonPrime, ReducibleModulus, ZeroModP
-from .intpoly import IntPolynomial, _prime_divisors, is_prime
+from .errors import NonMonicModulus, ReducibleModulus, ZeroModP
+from .intpoly import IntPolynomial, _prime_divisors, _require_prime
 
 
 _CACHE_LIMIT = 64
@@ -80,8 +83,7 @@ class ResidueField:
     _cache: dict = {}
 
     def __init__(self, p: int, modulus: FpPolynomial):
-        if not is_prime(p):
-            raise NonPrime(f"{p} is not prime")
+        _require_prime(p)
         self.p = p
         self.modulus = modulus
         self.degree = modulus.degree
@@ -109,28 +111,19 @@ class ResidueField:
 
         return _cached(cls._cache, (p, (0, 1)), build)
 
-    # -- element operations on ints: F_p when degree == 1, else F_{p^k} --
+    # -- element operations on ints: mul, pow and inverse use int arithmetic in F_p --
 
     def add(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a + b) % self.p
         return self.from_digits([x + y for x, y in zip(self.digits(a), self.digits(b))])
 
     def sub(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a - b) % self.p
         return self.from_digits([x - y for x, y in zip(self.digits(a), self.digits(b))])
 
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return a * b % self.p
         k, mod = self.degree, self.modulus.coeffs
-        db = self.digits(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(self.digits(a)):
-            if x:
-                for t, y in enumerate(db):
-                    prod[i + t] += x * y
+        prod = convolve(self.digits(a), self.digits(b))
         for i in range(2 * k - 2, k - 1, -1):  # j^i = -(modulus - j^k) * j^(i-k)
             c = prod[i]
             if c:
@@ -141,13 +134,8 @@ class ResidueField:
     def pow(self, a: int, e: int) -> int:
         if self.degree == 1:
             return pow(a, e, self.p)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        modulus = self.modulus
+        return self.from_digits(modulus._new(self.digits(a)).pow_mod(e, modulus).coeffs)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
@@ -419,13 +407,12 @@ class _FieldPolynomial:
         )
 
     def pow_mod(self, e: int, modulus):
-        result, base = (1,), (self % modulus).coeffs
-        mulmod = _mulmod(modulus)
-        while e:
-            if e & 1:
+        """self^e mod modulus, left to right: a square per bit, times self per set bit."""
+        mulmod, base, result = _mulmod(modulus), (self % modulus).coeffs, (1,)
+        for bit in bin(e)[2:]:
+            result = mulmod(result, result)
+            if bit == "1":
                 result = mulmod(result, base)
-            base = mulmod(base, base)
-            e >>= 1
         return self._new(result)
 
     def is_irreducible(self) -> bool:
@@ -524,16 +511,6 @@ def _mulmod(g):
     return lambda a, b: _trimmed(divmod_p(convolve(a, b), div, p)[1])
 
 
-def _x_power(e: int, g):
-    """x^e mod monic g, left to right: square per bit, times x per set bit."""
-    mulmod, r = _mulmod(g), (1,)
-    for bit in bin(e)[2:]:
-        r = mulmod(r, r)
-        if bit == "1":
-            r = mulmod(r, (0, 1))
-    return g._new(r)
-
-
 def _frobenius(g):
     """w -> w^q mod g for deg w < n = deg g, as a matrix-vector product.
 
@@ -542,7 +519,7 @@ def _frobenius(g):
     (Berlekamp's Q-matrix); each application then costs n^2 field operations.
     """
     n, field, mulmod = g.degree, g.field, _mulmod(g)
-    xq = _x_power(field.order, g).coeffs
+    xq = g._new((0, 1)).pow_mod(field.order, g).coeffs
     rows = [(1,)]
     while len(rows) < n:
         rows.append(mulmod(rows[-1], xq))
@@ -661,6 +638,7 @@ def _split_equal_degree(g, d: int, rng=None):
     one = g._new((1,))
     half = (q**d - 1) // 2
     trace_len = d * (q.bit_length() - 1) if q % 2 == 0 else 0
+    mulmod = _mulmod(g)
     while True:
         a = g._new([rng.randrange(q) for _ in range(g.degree)])
         if q % 2:
@@ -668,7 +646,7 @@ def _split_equal_degree(g, d: int, rng=None):
         else:
             w = term = a
             for _ in range(trace_len - 1):
-                term = term * term % g
+                term = g._new(mulmod(term.coeffs, term.coeffs))
                 w = w + term
         h = g.gcd(w)
         if 0 < h.degree < g.degree:

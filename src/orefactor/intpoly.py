@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+from ._fparith import convolve
 from ._record import Record
 from .errors import NonMonicModulus, NonPrime
 
@@ -227,12 +228,7 @@ class IntPolynomial:
     def __mul__(self, other) -> IntPolynomial:
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -320,14 +316,7 @@ def vp_int(n: int, p: int):
     >>> vp_int(0, 3)
     INFINITY
     """
-    _require_prime(p)
-    if n == 0:
-        return INFINITY
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
+    return vp_poly(IntPolynomial.constant(n), p)
 
 
 def vp_poly(P: IntPolynomial, p: int):

@@ -24,13 +24,12 @@ from ._record import Record
 from .errors import (
     ExcludedM,
     ExcludedN,
-    NonPrime,
     NotRegular,
     NotSquarefree,
     RepeatedFactor,
     SquarefreeCheckInconclusive,
 )
-from .intpoly import IntPolynomial, _prime_divisors, is_prime
+from .intpoly import IntPolynomial, _prime_divisors, _require_prime, is_prime
 from .ore import PrimeFactorization, ore_factor
 
 DEFAULT_SQUAREFREE_BOUND = 10**7
@@ -39,22 +38,26 @@ DEFAULT_SQUAREFREE_BOUND = 10**7
 def prime_factors_squarefree(m: int, bound: int = DEFAULT_SQUAREFREE_BOUND):
     """Prime factors of |m|, certifying squarefreeness along the way.
 
-    Trial division up to `bound`; a leftover cofactor must be certified
+    Trial division up to `bound`, which stops early once the cofactor is
+    a prime above `bound` (tested when it is set and after each division
+    while it exceeds `bound`); a leftover cofactor must be certified
     prime, else the check either refutes squarefreeness (perfect power)
     or gives up with SquarefreeCheckInconclusive.
     """
     rest = abs(m)
     primes = []
+    certified = rest > bound and is_prime(rest)
     d = 2
-    while d <= bound and d * d <= rest:
+    while not certified and d <= bound and d * d <= rest:
         if rest % d == 0:
             rest //= d
             if rest % d == 0:
                 raise NotSquarefree(f"{m} is divisible by {d}^2")
             primes.append(d)
+            certified = rest > bound and is_prime(rest)
         d += 1 if d == 2 else 2
     if rest > 1:
-        if d * d > rest or is_prime(rest):
+        if certified or d * d > rest or is_prime(rest):
             primes.append(rest)
         else:
             root = math.isqrt(rest)
@@ -169,8 +172,7 @@ def count_monic_irreducibles(p: int, d: int) -> int:
     >>> count_monic_irreducibles(3, 2)
     3
     """
-    if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
+    _require_prime(p)
     if d < 1:
         raise ValueError("degree must be positive")
     total = 0

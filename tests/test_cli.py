@@ -1,7 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import json
 import random
+import sys
 from datetime import timedelta
 from pathlib import Path
 
@@ -121,6 +123,9 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"]["factorization"] is None
         assert doc["results"]["refusal"]["index_lower_bound"] == 2
+        assert main(["factor", "--f", "x^4+3*x^2+9", "--p", "3", "--format", "text"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "not 3-regular: factorization refused; v_3(index) >= 2"
 
     def test_polygon_command(self, capsys):
         assert main(["polygon", "--f", "x^12-41", "--phi", "x-1", "--p", "2"]) == 0
@@ -385,22 +390,25 @@ class TestCanonicalJson:
         assert to_canonical_json(json.loads(once)) == once
 
 
-GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded from its path under a private name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolves annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _perfbench_workloads()
+GOLDEN_DIR = _WORKLOADS.GOLDEN_DIR
 
 
 class TestCliGoldens:
-    """The benchmark's cli_cold mix, run in process: stdout must match the
-    checked-in golden output byte for byte."""
+    """The benchmark's cli_cold mix (perfbench/workloads.CLI_MIX), run in
+    process: stdout must match the checked-in golden output byte for byte."""
 
-    CASES = {
-        "factor_x12m13_p2": ["factor", "--f", "x^12-13", "--p", "2", "--format", "json"],
-        "factor_x12m13_p3": ["factor", "--f", "x^12-13", "--p", "3", "--format", "json"],
-        "polygon_x12m41_p2": [
-            "polygon", "--f", "x^12-41", "--phi", "x-1", "--p", "2", "--format", "json"
-        ],
-        "classify_m33": ["classify", "--m", "33", "--format", "json"],
-        "sweep_m50_50": ["sweep", "--range=-50..50", "--format", "csv"],
-    }
+    CASES = dict(_WORKLOADS.CLI_MIX)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_golden(self, capsys, name):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import patch_everywhere
+from conftest import patch_everywhere, run_snippet
 from orefactor import cli
 from orefactor.errors import (
     EngineError,
@@ -43,6 +43,22 @@ class TestInputValidation:
         assert prime_factors_squarefree(13) == [13]
         big_prime = 10**9 + 7
         assert prime_factors_squarefree(big_prime) == [big_prime]
+
+    def test_prime_cofactor_ends_trial_division(self):
+        """A prime cofactor above the bound is certified at once: trial
+        division of 2^61 - 1 would run toward its square root, 1.5e9."""
+        proc = run_snippet(
+            """
+from orefactor.monogenity import prime_factors_squarefree
+M61, M89 = 2**61 - 1, 2**89 - 1
+print(prime_factors_squarefree(M61, bound=10**12) == [M61])
+print(prime_factors_squarefree(3 * M61) == [3, M61])
+print(prime_factors_squarefree(-M89) == [M89])
+""",
+            timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"] * 3
 
     def test_inconclusive_beyond_bound(self):
         # product of two primes above the tiny bound: cannot be certified
