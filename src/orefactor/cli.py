@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 domain error, 2 parse/usage error.
 Size contract: factor and polygon refuse a polynomial f or phi of degree
 above _MAX_DEGREE, and classify refuses n above it (exit 1).  The
 library itself has no such limit.  Its cost grows about as the cube of
-the degree, and further with log p; at _MAX_DEGREE a call over a small
-prime takes about a second, where the parser alone would let degrees
-up to _MAX_EXPONENT through.
+the degree, and further with log p; near _MAX_DEGREE a call over a prime
+near 2^61 takes up to about a second, where the parser alone would let
+degrees up to _MAX_EXPONENT through.  sweep --range has no width limit:
+its cost is linear in the width, about 1 ms per m, and its report holds
+one row per squarefree m.
 """
 
 from __future__ import annotations

@@ -22,21 +22,22 @@ Representation conventions:
   construction and printing: FpPolynomial lives over F_p and prints in
   x; ExtPolynomial lives over any ResidueField and prints in y, with
   coefficients written in j.
-* Over F_p the core runs on plain int lists (_fparith.py): products are
-  summed unreduced and each output coefficient is reduced once mod p;
-  _mulmod fuses a*b mod g for pow_mod, the _frobenius rows and the
-  characteristic-2 trace.  pow_mod is the only square-and-multiply.
+* Over F_p the core runs on plain int lists (_fparith.py); gcd is one
+  Euclid on them.  _mulmod(g), the a*b mod g of pow_mod, the _frobenius
+  rows and the characteristic-2 trace, packs each operand from degree 6
+  into one int of slots below 2n(p-1)^2, n = deg g, multiplies once and
+  reduces by the rows x^(n+i) mod g.  pow_mod is the only square-and-multiply.
 * ResidueFieldElem is the public value type of a single element.
 
 Factoring (factor_ext, factor_mod_p) is squarefree split, distinct-degree
 split, then Cantor-Zassenhaus equal-degree splitting: gcds with
 a^((q^d-1)/2) - 1 for odd q, or with the trace a + a^2 + ... +
 a^(2^(dk-1)) for q = 2^k, over random trials a drawn from a fixed seed.
-The distinct-degree split and Rabin's test exponentiate once per modulus
-g, to x^q mod g; Frobenius is linear, so every further x^(q^i) mod g is a
-matrix-vector product (_frobenius).  Time and memory are polynomial in
-log q.  Factor lists are always sorted by (degree, coefficient ints) so
-every run of the engine produces identical output.
+Rabin's test and the distinct-degree split exponentiate once per modulus
+g, to x^q mod g; Frobenius is linear, so every further w^(q^i) mod g,
+there and in the equal-degree split, is a matrix-vector product
+(_frobenius).  Time and memory are polynomial in log q.  Factor lists
+are sorted by (degree, coefficient ints), so every run is identical.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import functools
 import operator
 import random
 
-from ._fparith import convolve, divmod_p
+from ._fparith import convolve, divmod_p, gcd_p, mulmod_p
 from .errors import NonMonicModulus, ReducibleModulus, ZeroModP
 from .intpoly import IntPolynomial, _prime_divisors, _require_prime
 
@@ -349,8 +350,6 @@ class _FieldPolynomial:
         if field.degree == 1:
             return self._new([c % field.p for c in convolve(self.coeffs, other.coeffs)])
         add, mul = field.add, field.mul
-        if not self.coeffs or not other.coeffs:
-            return self._new(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -395,6 +394,8 @@ class _FieldPolynomial:
         return self._new([field.mul(c, inv) for c in self.coeffs])
 
     def gcd(self, other):
+        if self.field.degree == 1:
+            return self._new(gcd_p(list(self.coeffs), list(other.coeffs), self.field.p))
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -503,12 +504,10 @@ class ExtPolynomial(_FieldPolynomial):
 
 
 def _mulmod(g):
-    """(a, b) -> a*b mod g on coefficient tuples: over F_p one fused
-    product and division on int lists, over F_{p^k} the polynomial core."""
+    """(a, b) -> a*b mod g on tuples of degree < deg g; over F_p, mulmod_p."""
     if g.field.degree > 1:
         return lambda a, b: (g._new(a) * g._new(b) % g).coeffs
-    p, div = g.field.p, g.coeffs
-    return lambda a, b: _trimmed(divmod_p(convolve(a, b), div, p)[1])
+    return mulmod_p(g.coeffs, g.field.p)
 
 
 def _frobenius(g):
@@ -599,14 +598,13 @@ def _squarefree_split(g):
     return out
 
 
-def _distinct_degree_split(g):
-    """Monic squarefree g -> list of (product of irreducibles of degree d, d);
-    w = y^(q^d) mod g costs one Frobenius product per d, and since rest | g,
-    w % rest is y^(q^d) mod rest."""
+def _distinct_degree_split(g, frobenius):
+    """Monic squarefree g and its _frobenius -> list of (product of
+    irreducibles of degree d, d); w = y^(q^d) mod g costs one Frobenius
+    product per d, and since rest | g, w % rest is y^(q^d) mod rest."""
     out = []
     rest = g
     if g.degree >= 2:
-        frobenius = _frobenius(g)
         y = w = g._new((0, 1))
         d = 0
         while rest.degree >= 2 * (d + 1):
@@ -621,36 +619,37 @@ def _distinct_degree_split(g):
     return out
 
 
-def _split_equal_degree(g, d: int, rng=None):
+def _split_equal_degree(g, d: int, frobenius, rng=None):
     """Monic product of distinct degree-d irreducibles -> its factors.
 
     Cantor-Zassenhaus: a random a of degree < deg g gives w = a^((q^d-1)/2) - 1
     for odd q, or the trace a + a^2 + ... + a^(2^(dk-1)) for q = 2^k, both
-    mod g; gcd(g, w) is a proper factor with probability >= 1/2.  The
-    trials come from one fixed seed per top-level call, so every run
-    draws the same ones.
+    mod g; gcd(g, w) is a proper factor with probability >= 1/2.  For odd q,
+    a^((q^d-1)/2) = (a * a^q * ... * a^(q^(d-1)))^((q-1)/2), each a^(q^i) by
+    frobenius (of a multiple of g) mod g.  rng is seeded once per top-level call.
     """
     if g.degree == d:
         return [g]
     if rng is None:
         rng = random.Random(_EDF_SEED)
     q = g.field.order
-    one = g._new((1,))
-    half = (q**d - 1) // 2
-    trace_len = d * (q.bit_length() - 1) if q % 2 == 0 else 0
-    mulmod = _mulmod(g)
+    mulmod = None if q % 2 and d == 1 else _mulmod(g)
     while True:
         a = g._new([rng.randrange(q) for _ in range(g.degree)])
+        w = term = a
         if q % 2:
-            w = a.pow_mod(half, g) - one
+            for _ in range(d - 1):
+                term = frobenius(term) % g
+                w = g._new(mulmod(w.coeffs, term.coeffs))
+            w = w.pow_mod(q // 2, g) - g._new((1,))
         else:
-            w = term = a
-            for _ in range(trace_len - 1):
+            for _ in range(d * (q.bit_length() - 1) - 1):
                 term = g._new(mulmod(term.coeffs, term.coeffs))
                 w = w + term
         h = g.gcd(w)
         if 0 < h.degree < g.degree:
-            return _split_equal_degree(h, d, rng) + _split_equal_degree(g // h, d, rng)
+            return (_split_equal_degree(h, d, frobenius, rng)
+                    + _split_equal_degree(g // h, d, frobenius, rng))
 
 
 def factor_ext(g):
@@ -665,8 +664,9 @@ def factor_ext(g):
         raise ValueError("factorization requires degree >= 1")
     out = []
     for part, mult in _squarefree_split(g.monic()):
-        for prod, d in _distinct_degree_split(part):
-            for irr in _split_equal_degree(prod, d):
+        frobenius = _frobenius(part) if part.degree >= 2 else None
+        for prod, d in _distinct_degree_split(part, frobenius):
+            for irr in _split_equal_degree(prod, d, frobenius):
                 out.append((irr, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
     return out

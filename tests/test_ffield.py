@@ -5,7 +5,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import run_snippet
+from conftest import run_snippet, sylvester_resultant
+from orefactor import _fparith
+from orefactor._fparith import convolve, divmod_p, gcd_p, mulmod_p
 from orefactor.errors import NonMonicModulus, NonPrime, ReducibleModulus, ZeroModP
 from orefactor.ffield import (
     ExtPolynomial,
@@ -15,6 +17,7 @@ from orefactor.ffield import (
     _distinct_degree_split,
     _FieldPolynomial,
     _frobenius,
+    _split_equal_degree,
     factor_ext,
     factor_mod_p,
     is_squarefree_ext,
@@ -429,6 +432,40 @@ class TestEqualDegreeSplit:
         proc = run_snippet("import test_ffield; test_ffield.check_equal_degree_products()")
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize(
+        "p, modulus", [(13, (0, 1)), (65537, (0, 1)), (3, (1, 0, 1)), (5, (2, 0, 1))]
+    )
+    def test_power_through_the_frobenius_of_a_multiple(self, monkeypatch, p, modulus):
+        """The first trial's (a * a^q * ... * a^(q^(d-1)))^((q-1)/2) is
+        a^((q^d-1)/2) mod g, with the a^(q^i) read from the _frobenius of a
+        multiple of g (g times an irreducible of another degree), as
+        factor_ext passes the map of the whole squarefree part.  A wrong
+        power still splits g, only more slowly, so the power is checked."""
+        field = ResidueField.get(p, FpPolynomial(p, modulus))
+        q, rng = field.order, random.Random(p)
+        pow_mod, powers = _FieldPolynomial.pow_mod, []
+
+        def recorded_pow_mod(w, e, modulus):
+            out = pow_mod(w, e, modulus)
+            powers.append((e, modulus, out))
+            return out
+
+        monkeypatch.setattr(_FieldPolynomial, "pow_mod", recorded_pow_mod)
+        for d in (1, 2, 3):
+            chosen = _monic_irreducibles(field, d, rng)[:3]
+            other = _monic_irreducibles(field, d + 1, rng)[0]
+            g = ExtPolynomial.from_ints(field, [1])
+            for h in chosen:
+                g = g * h
+            frobenius = _frobenius(g * other)
+            powers.clear()
+            split = _split_equal_degree(g, d, frobenius, random.Random(7))
+            assert sorted(split, key=lambda h: h.sort_key()) == chosen, (p, modulus, d)
+            trial = random.Random(7)
+            a = g._new([trial.randrange(q) for _ in range(g.degree)])
+            assert powers[0][:2] == (q // 2, g), (p, modulus, d)
+            assert powers[0][2] == pow_mod(a, (q**d - 1) // 2, g), (p, modulus, d)
+
 
 def _necklace_count(q, d):
     """(1/d) * sum over e | d of mu(e) * q^(d/e), with mu by trial division."""
@@ -526,7 +563,7 @@ class TestOneExponentiationPerModulus:
     def test_distinct_degree_split_1_1_10(self, exponents):
         # over F_11: (x - 1)(x - 2)(x^10 - 2), 2 a primitive root mod 11
         g = fp(11, -1, 1) * fp(11, -2, 1) * fp(11, -2, *[0] * 9, 1)
-        parts = _distinct_degree_split(g)
+        parts = _distinct_degree_split(g, _frobenius(g))
         assert [(h.coeffs, d) for h, d in parts] == [
             ((fp(11, -1, 1) * fp(11, -2, 1)).coeffs, 1),
             (fp(11, -2, *[0] * 9, 1).coeffs, 10),
@@ -611,6 +648,94 @@ class TestPrimeFieldKernels:
                 assert quot.coeffs == (a[-1] * pow(b[-1], -1, p) % p,)
                 check = IntPolynomial(quot.coeffs) * IntPolynomial(b) + IntPolynomial(rem.coeffs)
                 assert _z_mod(check - IntPolynomial(a), p) == ()
+
+    @staticmethod
+    def schoolbook_mulmod(a, b, g, p):
+        """a*b mod g by convolve and divmod_p, trimmed: the packed kernel's oracle."""
+        rem = divmod_p(convolve(a, b), g, p)[1] if a and b else []
+        return _z_mod(IntPolynomial(rem), p)
+
+    @staticmethod
+    def mulmod_operands(rng, p, n):
+        """Zero, constants, short operands and full ones of degree n - 1."""
+        out = [[], [1], [rng.randrange(1, p)]]
+        for length in sorted({1, n // 3, n - 1, n}):
+            out.append([rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)])
+        return [a for a in out if len(a) <= n]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_packed_mulmod_matches_schoolbook(self, p):
+        """mulmod_p against the schoolbook pair at every modulus degree from
+        1 to 110, on both sides of the schoolbook cut-off, with monic and
+        non-monic moduli, squaring (a is b), zero and constant operands."""
+        assert 1 < _fparith._PACKED_DEGREE < 110
+        rng = random.Random(3 * p)
+        for n in range(1, 111):
+            lead = 1 if n % 2 else rng.randrange(1, p)
+            g = [rng.randrange(p) for _ in range(n)] + [lead]
+            mulmod = mulmod_p(tuple(g), p)
+            ops = self.mulmod_operands(rng, p, n)
+            for a, b in [(a, a) for a in ops] + list(zip(ops, ops[::-1])):
+                assert mulmod(a, b) == self.schoolbook_mulmod(a, b, g, p), (p, n, a, b)
+            a = ops[-1]
+            assert mulmod(a, a) == self.schoolbook_mulmod(a, a, g, p), (p, n, a)
+
+    @pytest.mark.parametrize("p", PRIMES + (2**29 - 3, 2**31 - 1))
+    def test_extreme_operands_fill_the_slots(self, p):
+        """Coefficients all p - 1 in the operands and in g, so that the middle
+        product slot reaches n(p-1)^2, the most two reduced operands give.
+        2^29 - 3 crosses from 64-bit word slots to byte slots at degree 32."""
+        for n in range(1, 111):
+            g, a = [p - 1] * (n + 1), [p - 1] * n
+            mulmod = mulmod_p(tuple(g), p)
+            assert mulmod(a, a) == self.schoolbook_mulmod(a, a, g, p), (p, n)
+            assert mulmod(a, a[:-1]) == self.schoolbook_mulmod(a, a[:-1], g, p), (p, n)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rows_reduction_at_every_small_degree(self, monkeypatch, p):
+        """The packed rows reduction alone, from degree 1 up, so that it does
+        not depend on the cut-off to avoid the smallest moduli."""
+        monkeypatch.setattr(_fparith, "_PACKED_DEGREE", 1)
+        rng = random.Random(5 * p)
+        for n in range(1, 25):
+            g = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+            mulmod = mulmod_p(tuple(g), p)
+            ops = self.mulmod_operands(rng, p, n)
+            for a, b in itertools.product(ops, repeat=2):
+                assert mulmod(a, b) == self.schoolbook_mulmod(a, b, g, p), (p, n, a, b)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_gcd_on_int_lists(self, p):
+        """gcd_p(a, b) = h is monic and divides a and b, and a/h and b/h have
+        a resultant prime to p (Sylvester determinant over Z), so h is the
+        greatest common divisor.  Common factors are planted."""
+        rng = random.Random(7 * p)
+
+        def poly(degree):
+            return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+        def product(*factors):
+            out = [1]
+            for f in factors:
+                out = [c % p for c in convolve(out, f)]
+            return out
+
+        for _ in range(25):
+            common = poly(rng.randint(0, 4))
+            a = product(common, poly(rng.randint(0, 5)))
+            b = product(common, poly(rng.randint(0, 5)))
+            h = gcd_p(list(a), list(b), p)
+            assert h[-1] == 1 and len(h) >= len(common), (p, a, b, h)
+            cofactors = []
+            for f in (a, b):
+                quot, rem = divmod_p(list(f), h, p)
+                assert not any(rem), (p, a, b, h)
+                cofactors.append(IntPolynomial(quot))
+            assert sylvester_resultant(*cofactors) % p != 0, (p, a, b, h)
+            assert FpPolynomial(p, a).gcd(FpPolynomial(p, b)).coeffs == tuple(h)
+        monic = tuple(gcd_p(list(a), [], p))
+        assert gcd_p([], list(a), p) == list(monic) and monic[-1] == 1
+        assert gcd_p([], [], p) == []
 
     @pytest.mark.parametrize("ext", [False, True], ids=["Fp", "Ext"])
     @pytest.mark.parametrize("p", PRIMES)
