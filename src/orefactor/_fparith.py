@@ -4,6 +4,8 @@ They are the F_p path of the polynomial core in ffield.py; convolve is
 also IntPolynomial's product over Z.  Coefficients are ascending ints in
 [0, p) over F_p.
 
+* power(mul, base, e) is the package's one square-and-multiply, for any
+  product: convolve over Z, mulmod_p or ffield._mulmod(g) modulo g.
 * convolve and divmod_p are schoolbook: products are summed unreduced
   and each output coefficient is reduced once mod p.  They serve single
   products and divisions, the Euclid of gcd_p, mulmod_p below
@@ -44,6 +46,17 @@ def convolve(a, b) -> list:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def power(mul, base, e: int):
+    """base^e under mul, left to right: a square per bit of e, times base
+    per set bit.  e >= 0; base^0 is mul((1,), (1,))."""
+    result = (1,)
+    for bit in bin(e)[2:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
 
 
 def divmod_p(rem: list, div, p: int):

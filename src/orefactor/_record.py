@@ -1,7 +1,8 @@
 """Record: the base of the package's frozen value types.
 
-A subclass names its fields in _fields, holds them in __slots__, and
-writes its own __init__ that stores each field with object.__setattr__.
+A subclass names its fields in _fields and holds them in __slots__.  Its
+own __init__ gives the signature and defaults and passes the values, in
+_fields order, to Record.__init__, the one place that stores fields.
 Record adds what a frozen dataclass would: equality and hash over the
 fields, between instances of one type only; a repr that names every
 field; no assignment or deletion; and pickling and copying through the
@@ -13,6 +14,10 @@ dataclasses (with inspect, ast and dis) and generated code per class.
 class Record:
     __slots__ = ()
     _fields: tuple = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

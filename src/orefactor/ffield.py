@@ -11,7 +11,7 @@ Representation conventions:
   neg, mul, inverse, pow).  add and sub work digit by digit; in F_p the
   one digit is the residue itself.  mul, inverse and pow are int
   arithmetic mod p in F_p.  In F_{p^k}, mul reduces the digit product
-  through the modulus, pow is pow_mod of the digit polynomial modulo the
+  through the modulus, pow is power of the digits through _mulmod of the
   modulus, and the inverse is one extended Euclid over F_p against it.
   The modulus must be monic and irreducible; both are checked eagerly at
   construction.
@@ -23,10 +23,10 @@ Representation conventions:
   x; ExtPolynomial lives over any ResidueField and prints in y, with
   coefficients written in j.
 * Over F_p the core runs on plain int lists (_fparith.py); gcd is one
-  Euclid on them.  _mulmod(g), the a*b mod g of pow_mod, the _frobenius
-  rows and the characteristic-2 trace, packs each operand from degree 6
-  into one int of slots below 2n(p-1)^2, n = deg g, multiplies once and
-  reduces by the rows x^(n+i) mod g.  pow_mod is the only square-and-multiply.
+  Euclid on them.  _mulmod(g), built once per modulus, is the a*b mod g
+  of every power (_fparith.power), the _frobenius rows and the
+  characteristic-2 trace; over F_p, from degree 6, it packs each operand
+  into one int, multiplies once and reduces by the rows x^(n+i) mod g.
 * ResidueFieldElem is the public value type of a single element.
 
 Factoring (factor_ext, factor_mod_p) is squarefree split, distinct-degree
@@ -46,7 +46,7 @@ import functools
 import operator
 import random
 
-from ._fparith import convolve, divmod_p, gcd_p, mulmod_p
+from ._fparith import convolve, divmod_p, gcd_p, mulmod_p, power
 from .errors import NonMonicModulus, ReducibleModulus, ZeroModP
 from .intpoly import IntPolynomial, _prime_divisors, _require_prime
 
@@ -135,8 +135,7 @@ class ResidueField:
     def pow(self, a: int, e: int) -> int:
         if self.degree == 1:
             return pow(a, e, self.p)
-        modulus = self.modulus
-        return self.from_digits(modulus._new(self.digits(a)).pow_mod(e, modulus).coeffs)
+        return self.from_digits(power(_mulmod(self.modulus), self.digits(a), e))
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
@@ -408,13 +407,8 @@ class _FieldPolynomial:
         )
 
     def pow_mod(self, e: int, modulus):
-        """self^e mod modulus, left to right: a square per bit, times self per set bit."""
-        mulmod, base, result = _mulmod(modulus), (self % modulus).coeffs, (1,)
-        for bit in bin(e)[2:]:
-            result = mulmod(result, result)
-            if bit == "1":
-                result = mulmod(result, base)
-        return self._new(result)
+        """self^e mod modulus, by power through _mulmod(modulus)."""
+        return self._new(power(_mulmod(modulus), (self % modulus).coeffs, e))
 
     def is_irreducible(self) -> bool:
         """Rabin's test, deterministic for any field and degree: one chain
@@ -518,7 +512,7 @@ def _frobenius(g):
     (Berlekamp's Q-matrix); each application then costs n^2 field operations.
     """
     n, field, mulmod = g.degree, g.field, _mulmod(g)
-    xq = g._new((0, 1)).pow_mod(field.order, g).coeffs
+    xq = power(mulmod, (0, 1), field.order)
     rows = [(1,)]
     while len(rows) < n:
         rows.append(mulmod(rows[-1], xq))
@@ -633,7 +627,7 @@ def _split_equal_degree(g, d: int, frobenius, rng=None):
     if rng is None:
         rng = random.Random(_EDF_SEED)
     q = g.field.order
-    mulmod = None if q % 2 and d == 1 else _mulmod(g)
+    mulmod = _mulmod(g)
     while True:
         a = g._new([rng.randrange(q) for _ in range(g.degree)])
         w = term = a
@@ -641,7 +635,7 @@ def _split_equal_degree(g, d: int, frobenius, rng=None):
             for _ in range(d - 1):
                 term = frobenius(term) % g
                 w = g._new(mulmod(w.coeffs, term.coeffs))
-            w = w.pow_mod(q // 2, g) - g._new((1,))
+            w = g._new(power(mulmod, w.coeffs, q // 2)) - g._new((1,))
         else:
             for _ in range(d * (q.bit_length() - 1) - 1):
                 term = g._new(mulmod(term.coeffs, term.coeffs))

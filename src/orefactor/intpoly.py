@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ._fparith import convolve
+from ._fparith import convolve, mulmod_p, power
 from ._record import Record
 from .errors import NonMonicModulus, NonPrime
 
@@ -122,15 +122,10 @@ def _is_strong_lucas_prp(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-
-    def half(x):
-        return (x + n if x % 2 else x) // 2 % n
-
-    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1 for P = 1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    # x^d = U_d*x - Q*U_(d-1) in (Z/n)[x]/(x^2 - x + Q), so V_d = c1 + 2*c0;
+    # mulmod_p divides by a monic g only, so it needs no inverse mod n.
+    c0, c1 = (power(mulmod_p((Q % n, n - 1, 1), n), (0, 1), d) + (0, 0))[:2]
+    U, V, Qk = c1, (c1 + 2 * c0) % n, pow(Q, d, n)
     if U == 0 or V == 0:
         return True
     for _ in range(s - 1):
@@ -235,14 +230,7 @@ class IntPolynomial:
     def __pow__(self, n: int) -> IntPolynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return IntPolynomial(power(convolve, self.coeffs, n))
 
     def __divmod__(self, other: IntPolynomial):
         """Euclidean division by a monic divisor (exact over Z)."""
@@ -350,8 +338,7 @@ class PhiExpansion(Record):
     __slots__ = _fields = ("phi", "terms")
 
     def __init__(self, phi: IntPolynomial, terms: tuple):
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "terms", terms)
+        super().__init__(phi, terms)
 
     def recompose(self) -> IntPolynomial:
         acc = IntPolynomial([])

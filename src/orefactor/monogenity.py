@@ -80,9 +80,7 @@ class PureFieldInput(Record):
     __slots__ = _fields + ("_m_primes",)
 
     def __init__(self, m: int, n: int = 12, squarefree_bound: int = DEFAULT_SQUAREFREE_BOUND):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "squarefree_bound", squarefree_bound)
+        super().__init__(m, n, squarefree_bound)
         if m in (-1, 0, 1):
             raise ExcludedM(f"m = {m} does not define a pure field here")
         if n < 2:
@@ -133,14 +131,9 @@ class MonogenityVerdict(Record):
         index_valuations: tuple = (),  # (p, valuation-or-bound, exact)
         notes: tuple = (),
     ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "per_prime_reports", per_prime_reports)
-        object.__setattr__(self, "index_valuations", index_valuations)
-        object.__setattr__(self, "notes", notes)
+        super().__init__(
+            m, n, status, witness, witnesses, per_prime_reports, index_valuations, notes
+        )
 
 
 def classify_theorem(m: int, n: int = 12) -> MonogenityVerdict:

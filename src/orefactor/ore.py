@@ -38,8 +38,7 @@ class DedekindVerdict(Record):
     __slots__ = _fields = ("divides_index", "failing_phi")
 
     def __init__(self, divides_index: bool, failing_phi: FpPolynomial | None = None):
-        object.__setattr__(self, "divides_index", divides_index)
-        object.__setattr__(self, "failing_phi", failing_phi)
+        super().__init__(divides_index, failing_phi)
 
 
 class PrimeIdealData(Record):
@@ -60,11 +59,7 @@ class PrimeIdealData(Record):
         side_slope=None,
         residual_factor: ExtPolynomial | None = None,
     ):
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "side_slope", side_slope)
-        object.__setattr__(self, "residual_factor", residual_factor)
+        super().__init__(phi, e, f, side_slope, residual_factor)
 
     def ef(self) -> tuple:
         return (self.e, self.f)
@@ -76,9 +71,7 @@ class PrimeFactorization(Record):
     __slots__ = _fields = ("p", "ideals", "index_valuation")
 
     def __init__(self, p: int, ideals: tuple, index_valuation: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "ideals", ideals)
-        object.__setattr__(self, "index_valuation", index_valuation)
+        super().__init__(p, ideals, index_valuation)
 
     def ef_multiset(self):
         return sorted(i.ef() for i in self.ideals)
@@ -158,13 +151,8 @@ class _PhiReport(Record):
         residual_factors: tuple,  # factor_ext of each residual, in side order
         index: int,
     ):
-        object.__setattr__(self, "phibar", phibar)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "exact_power", exact_power)
-        object.__setattr__(self, "polygon", polygon)
-        object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "residual_factors", residual_factors)
-        object.__setattr__(self, "index", index)
+        super().__init__(phibar, multiplicity, exact_power, polygon, residuals,
+                         residual_factors, index)
 
 
 def _phi_report(expansion, field: ResidueField, multiplicity: int = 0):

@@ -32,8 +32,7 @@ class Side(Record):
     __slots__ = _fields = ("start", "end")
 
     def __init__(self, start: tuple, end: tuple):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        super().__init__(start, end)
 
     @property
     def length(self) -> int:
@@ -85,11 +84,7 @@ class NewtonPolygon(Record):
         sides: tuple,  # all hull sides, slopes strictly increasing
         principal_sides: tuple,  # the negative-slope prefix
     ):
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "principal_sides", principal_sides)
+        super().__init__(phi, p, points, sides, principal_sides)
 
     @property
     def vertices(self) -> tuple:
@@ -166,8 +161,7 @@ class ResidualPolynomial(Record):
     __slots__ = _fields = ("side", "poly")
 
     def __init__(self, side: Side, poly: ExtPolynomial):
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "poly", poly)
+        super().__init__(side, poly)
 
     @property
     def field(self) -> ResidueField:
@@ -177,8 +171,11 @@ class ResidualPolynomial(Record):
 def residual_polynomial(
     f: IntPolynomial, phi: IntPolynomial, p: int, side: Side
 ) -> ResidualPolynomial:
-    """Degree-d polynomial over F_phi attached to a principal side."""
+    """Degree-d polynomial over F_phi attached to a principal side of the
+    polygon of f with respect to phi and p; any other side is a ValueError."""
     expansion, field = _expand(f, phi, p)
+    if side not in _polygon(expansion, p).principal_sides:
+        raise ValueError(f"{side!r} is not a principal side of the polygon of f")
     return _residual(expansion, field, side)
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import run_snippet, sylvester_resultant
-from orefactor import _fparith
+from orefactor import _fparith, ffield
 from orefactor._fparith import convolve, divmod_p, gcd_p, mulmod_p
 from orefactor.errors import NonMonicModulus, NonPrime, ReducibleModulus, ZeroModP
 from orefactor.ffield import (
@@ -15,7 +15,6 @@ from orefactor.ffield import (
     ResidueField,
     ResidueFieldElem,
     _distinct_degree_split,
-    _FieldPolynomial,
     _frobenius,
     _split_equal_degree,
     factor_ext,
@@ -443,14 +442,14 @@ class TestEqualDegreeSplit:
         power still splits g, only more slowly, so the power is checked."""
         field = ResidueField.get(p, FpPolynomial(p, modulus))
         q, rng = field.order, random.Random(p)
-        pow_mod, powers = _FieldPolynomial.pow_mod, []
+        power, powers = ffield.power, []
 
-        def recorded_pow_mod(w, e, modulus):
-            out = pow_mod(w, e, modulus)
-            powers.append((e, modulus, out))
+        def recorded_power(mul, base, e):
+            out = power(mul, base, e)
+            powers.append((e, out))
             return out
 
-        monkeypatch.setattr(_FieldPolynomial, "pow_mod", recorded_pow_mod)
+        monkeypatch.setattr(ffield, "power", recorded_power)
         for d in (1, 2, 3):
             chosen = _monic_irreducibles(field, d, rng)[:3]
             other = _monic_irreducibles(field, d + 1, rng)[0]
@@ -463,8 +462,9 @@ class TestEqualDegreeSplit:
             assert sorted(split, key=lambda h: h.sort_key()) == chosen, (p, modulus, d)
             trial = random.Random(7)
             a = g._new([trial.randrange(q) for _ in range(g.degree)])
-            assert powers[0][:2] == (q // 2, g), (p, modulus, d)
-            assert powers[0][2] == pow_mod(a, (q**d - 1) // 2, g), (p, modulus, d)
+            e, first = powers[0]
+            assert e == q // 2, (p, modulus, d)
+            assert g._new(first) == a.pow_mod((q**d - 1) // 2, g), (p, modulus, d)
 
 
 def _necklace_count(q, d):
@@ -546,13 +546,13 @@ class TestOneExponentiationPerModulus:
     @pytest.fixture
     def exponents(self, monkeypatch):
         seen = Counter()
-        pow_mod = _FieldPolynomial.pow_mod
+        power = ffield.power
 
-        def counted_pow_mod(w, e, g):
+        def counted_power(mul, base, e):
             seen[e] += 1
-            return pow_mod(w, e, g)
+            return power(mul, base, e)
 
-        monkeypatch.setattr(_FieldPolynomial, "pow_mod", counted_pow_mod)
+        monkeypatch.setattr(ffield, "power", counted_power)
         return seen
 
     def test_rabin_degree_12_over_f13(self, exponents):
@@ -569,6 +569,53 @@ class TestOneExponentiationPerModulus:
             (fp(11, -2, *[0] * 9, 1).coeffs, 10),
         ]
         assert exponents[11] == 1
+
+
+class TestOneProductPerModulus:
+    """_mulmod(g) is built once per modulus: _frobenius builds one for its
+    power and its rows, and equal-degree splitting one per polynomial it
+    splits, shared by every trial's products and power."""
+
+    FIELDS = [(13, (0, 1)), (65537, (0, 1)), (3, (1, 0, 1)), (2, (1, 1, 1))]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        seen = Counter()
+        mulmod = ffield._mulmod
+
+        def counted_mulmod(g):
+            seen[g] += 1
+            return mulmod(g)
+
+        monkeypatch.setattr(ffield, "_mulmod", counted_mulmod)
+        return seen
+
+    @pytest.mark.parametrize("p, modulus", FIELDS)
+    def test_frobenius_builds_one(self, builds, p, modulus):
+        field = ResidueField.get(p, FpPolynomial(p, modulus))
+        rng = random.Random(p)
+        for degree in (2, 5, 6, 9):
+            g = _random_poly(rng, field, degree, monic=True)
+            builds.clear()
+            _frobenius(g)
+            assert dict(builds) == {g: 1}, (p, modulus, degree)
+
+    @pytest.mark.parametrize("p, modulus", FIELDS)
+    def test_equal_degree_split_builds_one_per_split(self, builds, p, modulus):
+        field = ResidueField.get(p, FpPolynomial(p, modulus))
+        rng = random.Random(p)
+        for d in (1, 2, 3):
+            chosen = _monic_irreducibles(field, d, rng)[:4]
+            g = ExtPolynomial.from_ints(field, [1])
+            for h in chosen:
+                g = g * h
+            frobenius = _frobenius(g)
+            builds.clear()
+            split = _split_equal_degree(g, d, frobenius, random.Random(7))
+            assert sorted(split, key=lambda h: h.sort_key()) == chosen, (p, modulus, d)
+            # a split tree with len(chosen) leaves has len(chosen) - 1 inner nodes
+            assert sum(builds.values()) == len(builds) == len(chosen) - 1, (p, modulus, d)
+            assert all(h.degree > d for h in builds), (p, modulus, d)
 
 
 def _z_mod(P, p):

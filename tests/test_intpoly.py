@@ -9,6 +9,7 @@ from orefactor.errors import NonMonicModulus, NonPrime
 from orefactor.intpoly import (
     INFINITY,
     IntPolynomial,
+    _is_strong_lucas_prp,
     discriminant,
     is_prime,
     phi_expand,
@@ -62,6 +63,17 @@ class TestIntPolynomial:
     def test_pow_and_call(self):
         assert (X + IntPolynomial.constant(1)) ** 2 == poly(1, 2, 1)
         assert IntPolynomial.pure(12, 5)(2) == 2**12 - 5
+
+    @pytest.mark.parametrize(
+        "base", [poly(), poly(1), poly(-3), X, poly(2, -1, 3), IntPolynomial.pure(5, 7)]
+    )
+    def test_pow_is_repeated_product(self, base):
+        expected = poly(1)
+        for n in range(7):
+            assert base**n == expected, (str(base), n)
+            expected = expected * base
+        with pytest.raises(ValueError):
+            base ** -1
 
     def test_str_forms(self):
         assert str(poly()) == "0"
@@ -238,6 +250,15 @@ class TestPrimality:
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
         assert is_prime(1000003)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the odd composites below 20,000 that pass the strong Lucas test
+        # with Selfridge's parameters (OEIS A217255)
+        odd = range(39, 20000, 2)
+        passed = {n for n in odd if _is_strong_lucas_prp(n)}
+        primes = {n for n in odd if is_prime(n)}
+        assert primes <= passed
+        assert sorted(passed - primes) == [5459, 5777, 10877, 16109, 18971]
 
     def test_beyond_the_miller_rabin_bound(self):
         # the least strong pseudoprime to every base <= 37, and to every base <= 41

@@ -178,6 +178,24 @@ class TestResidualPolynomial:
             res = residual_polynomial(pure(33), X_MINUS_1, 2, side)
             assert res.poly.degree == side.degree == 1
 
+    @pytest.mark.parametrize(
+        "side",
+        [
+            Side((3, 0), (0, 3)),
+            Side((0, 9), (12, 0)),
+            Side((0, 3), (2, 0)),
+            Side((0, 0), (0, 0)),
+        ],
+        ids=["reversed", "whole", "half", "empty"],
+    )
+    def test_only_principal_sides(self, side):
+        """x^12 - 41 at phi = x - 1, p = 2 has the principal sides
+        (0, 3)->(2, 1) and (2, 1)->(4, 0); any other side is refused."""
+        f = pure(41)
+        assert side not in build_polygon(f, X_MINUS_1, 2).principal_sides
+        with pytest.raises(ValueError, match="not a principal side"):
+            residual_polynomial(f, X_MINUS_1, 2, side)
+
     def test_degree_matches_side_on_random_inputs(self):
         rng = random.Random(13)
         for _ in range(100):

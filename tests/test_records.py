@@ -29,6 +29,7 @@ from orefactor import (
     ore_factor,
     phi_expand,
 )
+from orefactor._record import Record
 from orefactor.ffield import FpPolynomial
 from orefactor.ore import _analyze, _PhiReport
 
@@ -202,6 +203,26 @@ def test_exact_reprs():
         "MonogenityVerdict(m=33, n=12, status=<Status.NOT_MONOGENIC: 'not monogenic'>, "
         "witness=None, witnesses=(), per_prime_reports=(), index_valuations=(), notes=())"
     )
+
+
+def test_record_stores_exactly_its_fields():
+    """Record.__init__ takes one value per field, so a constructor that
+    passes too few or too many raises instead of leaving a field unset."""
+
+    class Pair(Record):
+        __slots__ = _fields = ("left", "right")
+
+        def __init__(self, left, right):
+            super().__init__(left)  # forgets right
+
+    with pytest.raises(ValueError):
+        Pair(1, 2)
+    for cls in SIGNATURES:
+        values = _values(_sample(cls))
+        with pytest.raises(ValueError):
+            Record.__init__(cls.__new__(cls), *values[:-1])
+        with pytest.raises(ValueError):
+            Record.__init__(cls.__new__(cls), *values, None)
 
 
 def test_pure_field_input_certified_primes_stay_out_of_the_value():
