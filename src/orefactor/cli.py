@@ -84,9 +84,9 @@ def parse_poly(text: str) -> IntPolynomial:
         elif not first:
             raise PolyParseError(f"expected '+' or '-', found {text[i]!r}", i)
         coeff = None
-        if i < n and text[i].isdigit():
+        if i < n and text[i].isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 raise NonIntegerCoefficient("coefficients must be integers", j)
@@ -102,10 +102,10 @@ def parse_poly(text: str) -> IntPolynomial:
             j = skip_ws(i)
             if j < n and text[j] == "^":
                 j = skip_ws(j + 1)
-                if j >= n or not text[j].isdigit():
+                if j >= n or not text[j].isdecimal():
                     raise PolyParseError("expected an exponent after '^'", j)
                 start = j
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 k = int(text[start:j])
                 if k > _MAX_EXPONENT:

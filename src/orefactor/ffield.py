@@ -54,17 +54,6 @@ from .intpoly import IntPolynomial, _prime_divisors, _require_prime
 _CACHE_LIMIT = 64
 
 
-def _cached(cache: dict, key, build):
-    """cache[key], built on a miss; the least recently used entry goes when full."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = build()
-        if len(cache) >= _CACHE_LIMIT:
-            del cache[next(iter(cache))]
-    cache[key] = value
-    return value
-
-
 class ResidueField:
     """F_p[x]/(modulus) with monic irreducible modulus, validated eagerly.
 
@@ -81,8 +70,6 @@ class ResidueField:
 
     __slots__ = ("p", "modulus", "degree", "order", "key")
 
-    _cache: dict = {}
-
     def __init__(self, p: int, modulus: FpPolynomial):
         _require_prime(p)
         self.p = p
@@ -97,20 +84,15 @@ class ResidueField:
         if not modulus.is_irreducible():
             raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
 
-    @classmethod
-    def get(cls, p: int, modulus: FpPolynomial) -> ResidueField:
-        return _cached(cls._cache, (p, modulus.coeffs), lambda: cls(p, modulus))
+    @staticmethod
+    def get(p: int, modulus: FpPolynomial) -> ResidueField:
+        """The cached F_p[x]/(modulus); the constructor refuses a modulus over F_q, q != p."""
+        return _field(p, modulus.coeffs) if modulus.p == p else ResidueField(p, modulus)
 
-    @classmethod
-    def prime_field(cls, p: int) -> ResidueField:
+    @staticmethod
+    def prime_field(p: int) -> ResidueField:
         """F_p itself, realized with modulus x."""
-
-        def build():
-            field = cls.__new__(cls)  # x over F_p needs F_p, so F_p comes first
-            field.__init__(p, FpPolynomial._make(field, (0, 1)))
-            return field
-
-        return _cached(cls._cache, (p, (0, 1)), build)
+        return _field(p, (0, 1))
 
     # -- element operations on ints: mul, pow and inverse use int arithmetic in F_p --
 
@@ -204,6 +186,16 @@ class ResidueField:
         return f"ResidueField(F_{self.p}[x]/({self.modulus}))"
 
 
+@functools.lru_cache(maxsize=_CACHE_LIMIT)
+def _field(p: int, coeffs: tuple) -> ResidueField:
+    """F_p[x]/(modulus with these coefficients); F_p itself for (0, 1)."""
+    if coeffs != (0, 1):
+        return ResidueField(p, FpPolynomial(p, coeffs))
+    field = ResidueField.__new__(ResidueField)  # x over F_p needs F_p, so F_p comes first
+    field.__init__(p, FpPolynomial._make(field, coeffs))
+    return field
+
+
 class ResidueFieldElem:
     """Element of a ResidueField: the field and the element's int."""
 
@@ -239,16 +231,16 @@ class ResidueFieldElem:
         return ResidueFieldElem(self.field, value)
 
     def __add__(self, other: ResidueFieldElem) -> ResidueFieldElem:
-        return self._of(self.field.add(self.value, other.value))
+        return self._of(self.field.add(self.value, _value_in(self.field, other)))
 
     def __neg__(self) -> ResidueFieldElem:
         return self._of(self.field.neg(self.value))
 
     def __sub__(self, other: ResidueFieldElem) -> ResidueFieldElem:
-        return self._of(self.field.sub(self.value, other.value))
+        return self._of(self.field.sub(self.value, _value_in(self.field, other)))
 
     def __mul__(self, other: ResidueFieldElem) -> ResidueFieldElem:
-        return self._of(self.field.mul(self.value, other.value))
+        return self._of(self.field.mul(self.value, _value_in(self.field, other)))
 
     def inverse(self) -> ResidueFieldElem:
         return self._of(self.field.inverse(self.value))
@@ -266,6 +258,13 @@ class ResidueFieldElem:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.field!r}>"
+
+
+def _value_in(field: ResidueField, elem: ResidueFieldElem) -> int:
+    """elem's int, once elem is known to lie in field."""
+    if elem.field != field:
+        raise ValueError(f"{elem!r} is not an element of {field!r}")
+    return elem.value
 
 
 def _trimmed(coeffs) -> tuple:
@@ -467,7 +466,7 @@ class ExtPolynomial(_FieldPolynomial):
 
     def __init__(self, field: ResidueField, coeffs):
         self.field = field
-        self.coeffs = _trimmed([c.value for c in coeffs])
+        self.coeffs = _trimmed([_value_in(field, c) for c in coeffs])
 
     @classmethod
     def from_ints(cls, field: ResidueField, ints) -> ExtPolynomial:
@@ -666,9 +665,6 @@ def factor_ext(g):
     return out
 
 
-_FACTOR_CACHE: dict = {}
-
-
 def factor_mod_p(f: IntPolynomial, p: int):
     """Factor f mod p into monic irreducibles over F_p.
 
@@ -679,6 +675,9 @@ def factor_mod_p(f: IntPolynomial, p: int):
     fp = FpPolynomial(p, f.coeffs)
     if fp.is_zero():
         raise ZeroModP(f"polynomial vanishes identically mod {p}")
-    return _cached(
-        _FACTOR_CACHE, (p, fp.coeffs), lambda: factor_ext(fp) if fp.degree >= 1 else []
-    )
+    return _factor_reduced(fp)
+
+
+@functools.lru_cache(maxsize=_CACHE_LIMIT)
+def _factor_reduced(fp: FpPolynomial) -> list:
+    return factor_ext(fp) if fp.degree >= 1 else []

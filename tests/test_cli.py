@@ -52,6 +52,10 @@ class TestParsePoly:
             parse_poly("3*")
         with pytest.raises(PolyParseError):
             parse_poly("y + 1")
+        for text, position in [("x^²", 2), ("₂x", 0)]:
+            with pytest.raises(PolyParseError) as err:
+                parse_poly(text)
+            assert err.value.position == position
 
     def test_non_integer_coefficient(self):
         with pytest.raises(NonIntegerCoefficient):
@@ -349,7 +353,7 @@ _POLYS = st.one_of(
     ),
     st.lists(_INTS, max_size=6).map(lambda cs: str(IntPolynomial(cs))),
     st.sampled_from([101, 1000, 99999, 100000, 100001]).map(lambda d: f"x^{d}-2"),
-    st.text(alphabet="x^+-*.12 y", max_size=12),
+    st.text(alphabet="x^+-*.12 y²٣", max_size=12),
 )
 # Ranges: short ones, empty (reversed) ones, one huge m, and malformed
 # text short enough that a well-formed one spans at most a few hundred m.

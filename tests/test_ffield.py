@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 from collections import Counter
 
@@ -296,6 +297,20 @@ class TestResidueField:
         a = ResidueField.get(2, fp(2, 1, 1, 1))
         b = ResidueField.get(2, fp(2, 1, 1, 1))
         assert a is b
+        assert ResidueField.get(7, FpPolynomial.x(7)) is ResidueField.prime_field(7)
+
+    def test_characteristic_checked_on_every_get(self):
+        ResidueField.get(3, fp(3, 1, 0, 1))
+        with pytest.raises(ValueError, match="characteristic"):
+            ResidueField.get(3, fp(5, 1, 0, 1))
+
+    def test_elements_of_other_fields_refused(self, F4, F9):
+        a, b = F4.gen(), F9.gen()
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ValueError, match="not an element"):
+                op(a, b)
+        with pytest.raises(ValueError, match="not an element"):
+            ExtPolynomial(F9, [F4.gen(), F9.one()])
 
 
 class TestFactorExt:

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import traceback
 from collections import Counter
 
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from conftest import FUZZ_PRIMES, FUZZ_SEED, patch_everywhere, run_snippet
 from orefactor import cli, ffield, intpoly
 from orefactor.errors import IndexDivisible, NotRegular, RepeatedFactor
-from orefactor.ffield import FpPolynomial, ResidueField, _FieldPolynomial, factor_mod_p
+from orefactor.ffield import FpPolynomial, _FieldPolynomial, factor_mod_p
 from orefactor.intpoly import IntPolynomial
 from orefactor.ore import (
     _analyze,
@@ -291,7 +294,7 @@ class TestOneAnalysisPerPrime:
 
         patch_everywhere(monkeypatch, phi_expand, counted_expand)
         monkeypatch.setattr(_FieldPolynomial, "is_irreducible", counted_irreducible)
-        monkeypatch.setattr(ResidueField, "_cache", {})
+        ffield._field.cache_clear()
         return expanded, certified
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -317,8 +320,8 @@ def test_primality_certified_once_per_field(monkeypatch):
         return is_prime(n)
 
     patch_everywhere(monkeypatch, is_prime, counted)
-    monkeypatch.setattr(ResidueField, "_cache", {})
-    monkeypatch.setattr(ffield, "_FACTOR_CACHE", {})
+    ffield._field.cache_clear()
+    ffield._factor_reduced.cache_clear()
     p = 10007
     # x^2 (x - 1)(x - 2) + p^2 (x + 1): phi = x has a side of degree 2
     f = IntPolynomial([p * p, p * p, 2, -3, 1])
@@ -326,6 +329,46 @@ def test_primality_certified_once_per_field(monkeypatch):
     assert sum(i.e * i.f for i in report.ideals) == 4
     fields = {(0, 1)} | {phibar.coeffs for phibar, _ in factor_mod_p(f, p)}  # F_p = F_p[x]/(x)
     assert calls[p] == len(fields) == 3
+
+
+def test_caches_shared_by_threads():
+    """Threads share the field and factorization caches without locking.
+
+    Each of six workers runs 70 seeded cases: f factored mod each fuzz
+    prime, then ore_factor.  The inputs rarely repeat, so both caches keep
+    evicting.  A 1 us switch interval makes the interpreter switch
+    threads inside cache lookups; a hand-written LRU dict raised KeyError
+    there in 39 of 40 runs.
+    """
+    raised = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(70):
+                degree = rng.randint(1, 12)
+                f = IntPolynomial([rng.randint(-40, 40) for _ in range(degree)] + [1])
+                for p in FUZZ_PRIMES:
+                    factor_mod_p(f, p)
+                try:
+                    ore_factor(f, rng.choice(FUZZ_PRIMES))
+                except (NotRegular, RepeatedFactor):
+                    pass
+        except Exception:  # any escape is the failure
+            raised.append(traceback.format_exc())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(FUZZ_SEED + i,)) for i in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert raised == []
 
 
 def test_allocated_blocks_stay_flat():
