@@ -16,9 +16,11 @@ Representation conventions:
   The modulus must be monic and irreducible; both are checked eagerly at
   construction.
 * _FieldPolynomial is the one dense polynomial over a field: a tuple of
-  element ints, ascending, trailing zeros trimmed.  Arithmetic, gcd,
-  pow_mod, Rabin's irreducibility test and the factorization engine
-  below are written once against it.  Its public faces differ only in
+  element ints, ascending, trailing zeros trimmed; its shape methods and
+  printing in x are intpoly._DensePolynomial's, shared with IntPolynomial.
+  Arithmetic, gcd, pow_mod, Rabin's irreducibility test and the
+  factorization engine below are written once against it; operands over
+  different fields raise ValueError.  Its public faces differ only in
   construction and printing: FpPolynomial lives over F_p and prints in
   x; ExtPolynomial lives over any ResidueField and prints in y, with
   coefficients written in j.
@@ -48,7 +50,9 @@ import random
 
 from ._fparith import convolve, divmod_p, gcd_p, mulmod_p, power
 from .errors import NonMonicModulus, ReducibleModulus, ZeroModP
-from .intpoly import IntPolynomial, _prime_divisors, _require_prime
+from .intpoly import (
+    IntPolynomial, _DensePolynomial, _format_poly, _prime_divisors, _require_prime, _trimmed,
+)
 
 
 _CACHE_LIMIT = 64
@@ -261,23 +265,16 @@ class ResidueFieldElem:
 
 
 def _value_in(field: ResidueField, elem: ResidueFieldElem) -> int:
-    """elem's int, once elem is known to lie in field."""
-    if elem.field != field:
+    """elem's int, once elem is known to lie in field (the same or an equal one)."""
+    if elem.field is not field and elem.field != field:
         raise ValueError(f"{elem!r} is not an element of {field!r}")
     return elem.value
 
 
-def _trimmed(coeffs) -> tuple:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-class _FieldPolynomial:
+class _FieldPolynomial(_DensePolynomial):
     """Dense polynomial over a ResidueField: ascending element ints, trimmed."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field",)
 
     @classmethod
     def _make(cls, field: ResidueField, coeffs):
@@ -289,21 +286,12 @@ class _FieldPolynomial:
     def _new(self, coeffs):
         return self._make(self.field, coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+    def _field_with(self, other) -> ResidueField:
+        """The field of self, once other is known to lie over it too."""
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise ValueError(f"{other!r} and {self!r} lie over different fields")
+        return field
 
     def __eq__(self, other) -> bool:
         return (
@@ -319,7 +307,7 @@ class _FieldPolynomial:
         return (self.degree, self.coeffs)
 
     def __add__(self, other):
-        field = self.field
+        field = self._field_with(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -340,11 +328,8 @@ class _FieldPolynomial:
             return self._new([-c % field.p for c in self.coeffs])
         return self._new([field.neg(c) for c in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        field = self.field
+        field = self._field_with(other)
         if field.degree == 1:
             return self._new([c % field.p for c in convolve(self.coeffs, other.coeffs)])
         add, mul = field.add, field.mul
@@ -356,12 +341,12 @@ class _FieldPolynomial:
         return self._new(out)
 
     def __divmod__(self, other):
+        field = self._field_with(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         d = other.degree
         if len(self.coeffs) <= d:
             return self._new(()), self
-        field = self.field
         if field.degree == 1:
             quot, rem = divmod_p(list(self.coeffs), other.coeffs, field.p)
             return self._new(quot), self._new(rem)
@@ -378,12 +363,6 @@ class _FieldPolynomial:
                     rem[k + j] = sub(rem[k + j], mul(q, div[j]))
         return self._new(quot), self._new(rem[:d])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def monic(self):
         if self.is_zero() or self.is_monic():
             return self
@@ -392,7 +371,7 @@ class _FieldPolynomial:
         return self._new([field.mul(c, inv) for c in self.coeffs])
 
     def gcd(self, other):
-        if self.field.degree == 1:
+        if self._field_with(other).degree == 1:
             return self._new(gcd_p(list(self.coeffs), list(other.coeffs), self.field.p))
         a, b = self, other
         while not b.is_zero():
@@ -452,9 +431,6 @@ class FpPolynomial(_FieldPolynomial):
         """Canonical lift to Z[x] with coefficients in [0, p)."""
         return IntPolynomial(self.coeffs)
 
-    def __str__(self) -> str:
-        return _format_poly(self.coeffs, "x")
-
     def __repr__(self) -> str:
         return f"FpPolynomial(p={self.p}, '{self}')"
 
@@ -484,9 +460,9 @@ class ExtPolynomial(_FieldPolynomial):
 
     def evaluate(self, x: ResidueFieldElem) -> ResidueFieldElem:
         field = self.field
-        acc = 0
+        acc, value = 0, _value_in(field, x)
         for c in reversed(self.coeffs):
-            acc = field.add(field.mul(acc, x.value), c)
+            acc = field.add(field.mul(acc, value), c)
         return ResidueFieldElem(field, acc)
 
     def __str__(self) -> str:
@@ -521,28 +497,6 @@ def _frobenius(g):
         return lambda w: g._new([sum(map(operator.mul, w.coeffs, c)) % p for c in cols])
     add, mul = field.add, field.mul
     return lambda w: g._new([functools.reduce(add, map(mul, w.coeffs, c), 0) for c in cols])
-
-
-def _format_poly(coeffs, var: str, coeff_str=str) -> str:
-    """Shared ascending-coefficients pretty printer."""
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        cs = coeff_str(c)
-        if i == 0:
-            body = cs
-        else:
-            xpart = var if i == 1 else f"{var}^{i}"
-            if cs == "1":
-                body = xpart
-            elif any(ch in cs for ch in "+- ") and not cs.lstrip("-").isdigit():
-                body = f"({cs})*{xpart}"
-            else:
-                body = f"{cs}*{xpart}"
-        terms.append(body)
-    return " + ".join(terms) if terms else "0"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ A polynomial is a dense, immutable sequence of arbitrary-precision integer
 coefficients in ascending order: IntPolynomial([1, 0, 3]) is 3x^2 + 1.
 Everything here is pure integer arithmetic; nothing ever touches floats.
 
+_DensePolynomial holds the shape methods that IntPolynomial shares with
+the field polynomials of ffield.py; _format_poly is the package's one
+polynomial printer and _trimmed its one tuple trimmer.
+
 Valuations are plain nonnegative ints, except the valuation of zero which
 is the module-level INFINITY singleton (it compares above every int).
 """
@@ -155,32 +159,44 @@ def _prime_divisors(n: int):
     return out
 
 
-class IntPolynomial:
-    """Dense monic-friendly polynomial over Z.
+def _trimmed(coeffs) -> tuple:
+    """The coefficient sequence as a tuple, trailing zeros dropped."""
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
 
-    >>> f = IntPolynomial([-33] + [0] * 11 + [1])   # x^12 - 33
-    >>> f.degree
-    12
-    >>> str(IntPolynomial([1, 1, 1]))
-    'x^2 + x + 1'
-    """
+
+def _format_poly(coeffs, var: str, coeff_str=str) -> str:
+    """The one polynomial printer, highest term first.  A negative integer
+    c prints as ' - |c|', or '-|c|' in front; field coefficients are >= 0."""
+    out = ""
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        cs = coeff_str(-c if c < 0 else c)
+        if i == 0:
+            body = cs
+        else:
+            xpart = var if i == 1 else f"{var}^{i}"
+            if cs == "1":
+                body = xpart
+            elif " " in cs:  # a sum of terms
+                body = f"({cs})*{xpart}"
+            else:
+                body = f"{cs}*{xpart}"
+        out += (" - " if c < 0 else " + ") + body
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+class _DensePolynomial:
+    """Shape of a dense polynomial: ascending coefficients, trailing zeros
+    trimmed.  Subclasses supply +, neg and divmod; -, // and % follow."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def constant(c: int) -> IntPolynomial:
-        return IntPolynomial([c])
-
-    @staticmethod
-    def pure(n: int, m: int) -> IntPolynomial:
-        """x^n - m, the defining polynomial of a pure field."""
-        return IntPolynomial([-m] + [0] * (n - 1) + [1])
 
     @property
     def degree(self) -> int:
@@ -193,11 +209,48 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def leading(self) -> int:
+    def leading(self):
         return self.coeffs[-1] if self.coeffs else 0
 
-    def __getitem__(self, i: int) -> int:
+    def __getitem__(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __str__(self) -> str:
+        return _format_poly(self.coeffs, "x")
+
+
+class IntPolynomial(_DensePolynomial):
+    """Dense monic-friendly polynomial over Z.
+
+    >>> f = IntPolynomial([-33] + [0] * 11 + [1])   # x^12 - 33
+    >>> f.degree
+    12
+    >>> str(IntPolynomial([1, 1, 1]))
+    'x^2 + x + 1'
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs):
+        self.coeffs = _trimmed(tuple(coeffs))
+
+    @staticmethod
+    def constant(c: int) -> IntPolynomial:
+        return IntPolynomial([c])
+
+    @staticmethod
+    def pure(n: int, m: int) -> IntPolynomial:
+        """x^n - m, the defining polynomial of a pure field."""
+        return IntPolynomial([-m] + [0] * (n - 1) + [1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -216,9 +269,6 @@ class IntPolynomial:
 
     def __neg__(self) -> IntPolynomial:
         return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
 
     def __mul__(self, other) -> IntPolynomial:
         if isinstance(other, int):
@@ -249,12 +299,6 @@ class IntPolynomial:
                     rem[k + j] -= q * other.coeffs[j]
         return IntPolynomial(quot), IntPolynomial(rem[:d])
 
-    def __floordiv__(self, other: IntPolynomial) -> IntPolynomial:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: IntPolynomial) -> IntPolynomial:
-        return divmod(self, other)[1]
-
     def derivative(self) -> IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -269,28 +313,6 @@ class IntPolynomial:
         if self.is_zero():
             return self
         return IntPolynomial((0,) * k + self.coeffs)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif i == 1:
-                body = "x" if mag == 1 else f"{mag}*x"
-            else:
-                body = f"x^{i}" if mag == 1 else f"{mag}*x^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"IntPolynomial('{self}')"

@@ -311,6 +311,28 @@ class TestResidueField:
                 op(a, b)
         with pytest.raises(ValueError, match="not an element"):
             ExtPolynomial(F9, [F4.gen(), F9.one()])
+        ops = (operator.add, operator.sub, operator.mul, operator.floordiv,
+               operator.mod, divmod, lambda u, v: u.gcd(v))
+        F3 = ResidueField.prime_field(3)
+        g9 = ExtPolynomial.from_ints(F9, (1, 2, 1))
+        pairs = [
+            (fp(3, 1, 2), fp(5, 4, 4)),
+            (g9, ExtPolynomial.from_ints(F4, (1, 1))),
+            (g9, ExtPolynomial.from_ints(F3, (1, 1))),
+        ]
+        for u, v in pairs:
+            for op in ops:
+                for x, y in ((u, v), (v, u)):
+                    with pytest.raises(ValueError, match="different fields"):
+                        op(x, y)
+        with pytest.raises(ValueError, match="not an element"):
+            g9.evaluate(ResidueField.prime_field(5).from_int(4))
+        # an equal field built apart from the cache still combines
+        F9_apart = ResidueField(3, F9.modulus)
+        assert F9_apart is not F9
+        h = ExtPolynomial.from_ints(F9_apart, (0, 1))
+        assert g9 + h == ExtPolynomial.from_ints(F9, (1, 0, 1))
+        assert h.evaluate(F9.gen()) == F9_apart.gen()
 
 
 class TestFactorExt:

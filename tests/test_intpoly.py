@@ -30,6 +30,7 @@ class TestIntPolynomial:
         assert poly(1, 2, 0, 0).coeffs == (1, 2)
         assert poly(0, 0).degree == -1
         assert poly().is_zero()
+        assert IntPolynomial(iter([1, 2, 0])) == IntPolynomial([1, 2])
 
     def test_degree_and_leading(self):
         f = IntPolynomial.pure(12, 33)
