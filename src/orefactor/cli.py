@@ -90,7 +90,7 @@ def parse_poly(text: str) -> IntPolynomial:
                 j += 1
             if j < n and text[j] == ".":
                 raise NonIntegerCoefficient("coefficients must be integers", j)
-            coeff = int(text[i:j])
+            coeff = _int_literal(text[i:j], i)
             i = skip_ws(j)
             if i < n and text[i] == "*":
                 i = skip_ws(i + 1)
@@ -107,9 +107,10 @@ def parse_poly(text: str) -> IntPolynomial:
                 start = j
                 while j < n and text[j].isdecimal():
                     j += 1
-                k = int(text[start:j])
-                if k > _MAX_EXPONENT:
+                digits = text[start:j].lstrip("0")  # by length first: int() caps digits
+                if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
                     raise PolyParseError("exponent too large", start)
+                k = int(digits or 0)
                 i = j
             c = 1 if coeff is None else coeff
             coeffs[k] = coeffs.get(k, 0) + sign * c
@@ -123,6 +124,14 @@ def parse_poly(text: str) -> IntPolynomial:
     for k, c in coeffs.items():
         out[k] = c
     return IntPolynomial(out)
+
+
+def _int_literal(digits: str, position: int) -> int:
+    """int(digits); a PolyParseError beyond sys.get_int_max_str_digits()."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError("integer literal too long", position) from None
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +359,7 @@ def _cmd_sweep(args) -> dict:
     match = re.fullmatch(r"\s*(-?\d+)\.\.(-?\d+)\s*", args.range)
     if match is None:
         raise PolyParseError("range must look like 'a..b'", 0)
-    lo, hi = int(match.group(1)), int(match.group(2))
+    lo, hi = (_int_literal(match.group(k), match.start(k)) for k in (1, 2))
     if lo > hi:
         raise EngineError(f"empty range {lo}..{hi}")
     bound = _squarefree_bound()

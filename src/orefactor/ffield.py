@@ -512,8 +512,6 @@ def is_squarefree_ext(g) -> bool:
     """True iff gcd(g, g') is constant.  A zero derivative means a p-th power."""
     if g.is_zero():
         raise ValueError("squarefree test of the zero polynomial")
-    if g.degree == 0:
-        return True
     return g.gcd(g.derivative()).degree == 0
 
 
@@ -525,10 +523,8 @@ def _p_th_root(g):
 
 
 def _squarefree_split(g):
-    """Monic g -> list of (monic squarefree part, multiplicity)."""
+    """Monic g of degree >= 1 -> list of (monic squarefree part, multiplicity)."""
     out = []
-    if g.degree < 1:
-        return out
     c = g.gcd(g.derivative())
     w = g // c
     i = 1
@@ -622,14 +618,14 @@ def factor_ext(g):
 def factor_mod_p(f: IntPolynomial, p: int):
     """Factor f mod p into monic irreducibles over F_p.
 
-    Returns [(FpPolynomial, multiplicity), ...] sorted by (degree,
-    coefficient order).  Results are cached on the reduced polynomial,
-    for the _CACHE_LIMIT most recently used inputs.
+    Returns a new list [(FpPolynomial, multiplicity), ...] sorted by
+    (degree, coefficient order).  Results are cached on the reduced
+    polynomial, for the _CACHE_LIMIT most recently used inputs.
     """
     fp = FpPolynomial(p, f.coeffs)
     if fp.is_zero():
         raise ZeroModP(f"polynomial vanishes identically mod {p}")
-    return _factor_reduced(fp)
+    return list(_factor_reduced(fp))
 
 
 @functools.lru_cache(maxsize=_CACHE_LIMIT)

@@ -26,7 +26,6 @@ from .errors import (
     ExcludedN,
     NotRegular,
     NotSquarefree,
-    RepeatedFactor,
     SquarefreeCheckInconclusive,
 )
 from .intpoly import IntPolynomial, _prime_divisors, _require_prime, is_prime
@@ -210,39 +209,34 @@ def classify_engine(
 
 
 def _classify_engine(inp: PureFieldInput) -> MonogenityVerdict:
-    """classify_engine on an input whose m is already certified squarefree."""
+    """classify_engine on an input whose m is already certified squarefree:
+    x^n - m is Eisenstein at each p | m, so ore_factor meets no RepeatedFactor."""
     m, n = inp.m, inp.n
     f = inp.polynomial()
     notes = [] if n == 12 else [f"n = {n} is outside the certified range (n = 12)"]
-    reports: dict[int, PrimeFactorization] = {}
+    reports: dict[int, PrimeFactorization] = {}  # filled in ascending p
     valuations = []
     for p in inp.ramified_candidates():
         try:
             report = ore_factor(f, p)
-            reports[p] = report
-            valuations.append((p, report.index_valuation, True))
         except NotRegular as exc:
             valuations.append((p, exc.lower_bound, False))
             notes.append(f"p = {p}: not p-regular, index valuation >= {exc.lower_bound}")
-        except RepeatedFactor as exc:
-            valuations.append((p, 0, False))
-            notes.append(f"p = {p}: {exc}")
-    common = dict(
+            continue
+        reports[p] = report
+        valuations.append((p, report.index_valuation, True))
+    status, witnesses = Status.MONOGENIC_Z_ALPHA, ()
+    if not all(exact and v == 0 for _, v, exact in valuations):
+        found = [(p, witness_nonmonogenic(reports[p])) for p in _WITNESS_PRIMES if p in reports]
+        witnesses = tuple([(p,) + w for p, w in found if w is not None])
+        status = Status.NOT_MONOGENIC if witnesses else Status.UNDECIDED
+    return MonogenityVerdict(
         m=m,
         n=n,
-        per_prime_reports=tuple([reports[p] for p in sorted(reports)]),
+        status=status,
+        witness=witnesses[0] if witnesses else None,
+        witnesses=witnesses,
+        per_prime_reports=tuple(reports.values()),
         index_valuations=tuple(valuations),
         notes=tuple(notes),
     )
-    if all(exact and v == 0 for _, v, exact in valuations):
-        return MonogenityVerdict(status=Status.MONOGENIC_Z_ALPHA, **common)
-    found = [(p, witness_nonmonogenic(reports[p])) for p in _WITNESS_PRIMES if p in reports]
-    witnesses = [(p,) + w for p, w in found if w is not None]
-    if witnesses:
-        return MonogenityVerdict(
-            status=Status.NOT_MONOGENIC,
-            witness=witnesses[0],
-            witnesses=tuple(witnesses),
-            **common,
-        )
-    return MonogenityVerdict(status=Status.UNDECIDED, **common)

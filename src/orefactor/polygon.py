@@ -190,7 +190,7 @@ def _residual(expansion, field: ResidueField, side: Side) -> ResidualPolynomial:
     terms = expansion.terms
     coeffs = []
     for idx, y in side.lattice_points():
-        a = terms[idx] if idx < len(terms) else IntPolynomial([])
+        a = terms[idx]  # idx <= the side's end, the index of a nonzero term
         v = _vp_poly(a, p)
         if v < y:  # impossible below the hull
             raise AssertionError("valuation point below its own hull")

@@ -214,6 +214,22 @@ class TestCliCommands:
         assert main(["factor", "--f", "x^2 + 1.5", "--p", "3"]) == 2
         assert main(["sweep", "--range", "oops"]) == 2
 
+    _LONG = "1" + "0" * 5000  # above Python's 4300-digit int-string limit
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["factor", "--f", f"x^2 + {_LONG}", "--p", "2"], "integer literal too long"),
+            (["factor", "--f", f"x^{_LONG}", "--p", "2"], "exponent too large"),
+            (["sweep", "--range", f"{_LONG}..{_LONG}"], "integer literal too long"),
+        ],
+        ids=["coefficient", "exponent", "range"],
+    )
+    def test_overlong_integer_literal_refused(self, capsys, argv, message):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_exit_code_nonprime(self, capsys):
         assert main(["factor", "--f", "x^2+1", "--p", "6"]) == 1
 

@@ -24,6 +24,7 @@ from orefactor.ffield import (
 )
 from orefactor.intpoly import IntPolynomial
 from orefactor.monogenity import count_monic_irreducibles
+from orefactor.ore import ore_factor
 
 
 def fp(p, *ascending):
@@ -179,6 +180,13 @@ class TestFactorModP:
         assert factors == [[[p - 2, 1], 1], [[p - 1, 1], 1]]
         assert seconds < 1.0
         assert peak < 1_000_000
+
+    def test_each_call_returns_its_own_list(self):
+        f = IntPolynomial.pure(12, 13)
+        expected = factor_mod_p(f, 3)
+        factor_mod_p(f, 3).clear()
+        assert factor_mod_p(f, 3) == expected
+        assert ore_factor(f, 3).ef_multiset() == [(3, 1), (3, 1), (3, 2)]
 
     def test_deterministic_sorted_output(self):
         f = IntPolynomial.pure(12, 10)
@@ -364,7 +372,7 @@ class TestFactorExt:
     def test_equal_polynomials_hash_equally(self, F4):
         # the same field built twice, and the same polynomial reached two ways
         other_F4 = ResidueField(2, fp(2, 1, 1, 1))
-        assert other_F4 is not F4 and other_F4 == F4
+        assert other_F4 is not F4 and other_F4 == F4 and hash(other_F4) == hash(F4)
         one, j = F4.one(), F4.gen()
         g = ExtPolynomial(F4, [one, j, one + j])
         built = ExtPolynomial(other_F4, [other_F4.one(), other_F4.gen(), other_F4.gen() ** 2])
@@ -376,6 +384,18 @@ class TestFactorExt:
             assert same == g
             assert hash(same) == hash(g)
         assert len({g, built, product}) == 1
+
+    @pytest.mark.parametrize("ints", [(), (0,), (2,)], ids=["zero", "zero-digits", "constant"])
+    def test_zero_and_constants(self, F9, ints):
+        for field in (ResidueField.prime_field(3), F9):
+            g = ExtPolynomial.from_ints(field, ints)
+            with pytest.raises(ValueError, match="zero polynomial|degree >= 1"):
+                factor_ext(g)
+            if g.is_zero():
+                with pytest.raises(ValueError, match="zero polynomial"):
+                    is_squarefree_ext(g)
+            else:
+                assert is_squarefree_ext(g)
 
     def test_irreducible_quadratic_over_f2(self):
         F2 = ResidueField.prime_field(2)
@@ -844,6 +864,10 @@ class TestPrimeFieldKernels:
                     for i in range(n):  # row i of the matrix is x^(p*i) mod g
                         row = frobenius(self.make(p, [0] * i + [1], ext)).coeffs
                         assert row == _z_powmod([0, 1], p * i, g, p), (p, g, i)
+        # modulo a nonzero constant every power is 0, x^0 included
+        G = self.make(p, [rng.randrange(1, p)], ext)
+        for e in exponents:
+            assert self.make(p, [0, 1], ext).pow_mod(e, G).is_zero(), (p, e)
 
 
 def test_large_q_regression():

@@ -65,6 +65,10 @@ class TestIntPolynomial:
         assert (X + IntPolynomial.constant(1)) ** 2 == poly(1, 2, 1)
         assert IntPolynomial.pure(12, 5)(2) == 2**12 - 5
 
+    def test_shift(self):
+        assert poly(1, 2).shift(3) == poly(0, 0, 0, 1, 2)
+        assert poly().shift(3) == poly()
+
     @pytest.mark.parametrize(
         "base", [poly(), poly(1), poly(-3), X, poly(2, -1, 3), IntPolynomial.pure(5, 7)]
     )
@@ -132,6 +136,7 @@ class TestValuations:
         assert not (INFINITY < 5)
         assert min(3, INFINITY) == 3
         assert INFINITY + 7 is INFINITY
+        assert INFINITY <= INFINITY and not (INFINITY <= 10**100)
 
 
 class TestPhiExpansion:
@@ -183,6 +188,7 @@ class TestPhiExpansion:
         f = IntPolynomial.pure(12, 10)
         for phi in (poly(-1, 1), poly(1, 1, 1), poly(2, 0, 0, 1)):
             exp = phi_expand(f, phi)
+            assert len(exp) == 12 // phi.degree + 1
             assert all(t.degree < phi.degree for t in exp.terms)
             assert exp.recompose() == f
 
@@ -217,6 +223,21 @@ class TestResultantAndDiscriminant:
             )
             assert resultant(f, g) == sylvester_resultant(f, g)
 
+    @pytest.mark.parametrize(
+        "f, g, expected",
+        [
+            (poly(1, 2, 3), poly(), 0),
+            (poly(), poly(5, 1), 0),
+            (poly(1, 2, 3), poly(-2), (-2) ** 2),
+            (poly(-2), poly(1, 2, 3), (-2) ** 2),
+            (poly(7), poly(3), 1),
+            (poly(-1, 0, 1) * poly(3, 1), poly(-1, 1) * poly(2, 0, 1), 0),
+        ],
+        ids=["zero-g", "zero-f", "constant-g", "constant-f", "two-constants", "common-factor"],
+    )
+    def test_resultant_degenerate_operands(self, f, g, expected):
+        assert resultant(f, g) == expected == sylvester_resultant(f, g)
+
     def test_quadratic_discriminant(self):
         assert discriminant(poly(-1, 0, 1)) == 4
         assert discriminant(poly(1, 0, 1)) == -4
@@ -237,6 +258,8 @@ class TestResultantAndDiscriminant:
     def test_requires_monic(self):
         with pytest.raises(NonMonicModulus):
             discriminant(poly(1, 2))
+        with pytest.raises(ValueError, match="degree >= 1"):
+            discriminant(poly(1))
 
 
 class TestPrimality:

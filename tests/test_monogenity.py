@@ -1,11 +1,12 @@
 import pytest
 
 from conftest import patch_everywhere, run_snippet
-from orefactor import cli
+from orefactor import cli, monogenity
 from orefactor.errors import (
     EngineError,
     ExcludedM,
     ExcludedN,
+    NotRegular,
     NotSquarefree,
     SquarefreeCheckInconclusive,
 )
@@ -192,6 +193,30 @@ class TestEngineRoute:
         verdict = classify_engine(73)
         assert len(verdict.witnesses) == 2
         assert verdict.witnesses[0][0] == 2 and verdict.witnesses[1][0] == 3
+
+    @pytest.mark.parametrize(
+        "m, status", [(2, Status.UNDECIDED), (10, Status.NOT_MONOGENIC)]
+    )
+    def test_refusal_at_one_prime(self, monkeypatch, m, status):
+        """No squarefree m is known to make ore_factor refuse x^12 - m, so the
+        refusal is patched in at p = 2: the verdict keeps its lower bound, a
+        note and the witnesses of the other primes."""
+
+        def refuse_at_2(f, p):
+            if p == 2:
+                raise NotRegular("patched refusal", lower_bound=5)
+            return ore_factor(f, p)
+
+        unpatched = classify_engine(m)
+        monkeypatch.setattr(monogenity, "ore_factor", refuse_at_2)
+        verdict = classify_engine(m)
+        assert verdict.status is status
+        assert verdict.index_valuations[0] == (2, 5, False)
+        assert verdict.index_valuations[1:] == unpatched.index_valuations[1:]
+        assert verdict.per_prime_reports == unpatched.per_prime_reports[1:]
+        assert verdict.notes == ("p = 2: not p-regular, index valuation >= 5",)
+        assert verdict.witnesses == tuple([w for w in unpatched.witnesses if w[0] != 2])
+        assert verdict.witness == (verdict.witnesses[0] if verdict.witnesses else None)
 
     def test_even_m_uses_generic_path(self):
         verdict = classify_engine(-2)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FUZZ_PRIMES, FUZZ_SEED, patch_everywhere, run_snippet
 from orefactor import cli, ffield, intpoly
-from orefactor.errors import IndexDivisible, NotRegular, RepeatedFactor
+from orefactor.errors import IndexDivisible, NonMonicModulus, NotRegular, RepeatedFactor
 from orefactor.ffield import FpPolynomial, _FieldPolynomial, factor_mod_p
 from orefactor.intpoly import IntPolynomial
 from orefactor.ore import (
@@ -167,6 +167,14 @@ class TestRegularity:
             ore_index(f, 2)
         with pytest.raises(RepeatedFactor):
             ore_factor(f, 2)
+
+    @pytest.mark.parametrize(
+        "route", [dedekind_test, kummer_factor, ore_factor, ore_index, is_p_regular],
+        ids=lambda route: route.__name__,
+    )
+    def test_non_monic_f_refused(self, route):
+        with pytest.raises(NonMonicModulus, match="f must be monic"):
+            route(IntPolynomial([1, 0, 2]), 3)  # 2x^2 + 1
 
 
 class TestOreFactor:

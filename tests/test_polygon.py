@@ -10,6 +10,7 @@ from orefactor.errors import NonMonicModulus, ReducibleModulus, ZeroModP
 from orefactor.ffield import factor_mod_p
 from orefactor.intpoly import IntPolynomial, phi_expand
 from orefactor.polygon import (
+    NewtonPolygon,
     Side,
     _principal_lattice_count,
     build_polygon,
@@ -33,6 +34,7 @@ class TestSide:
         assert s.slope == Fraction(-1)
         assert s.degree == 2 and s.e == 1
         assert s.lattice_points() == [(0, 3), (1, 2), (2, 1)]
+        assert str(s) == "side (0, 3)->(2, 1) slope=-1 l=2 h=2 d=2 e=1"
 
     def test_height_slope_relation(self):
         rng = random.Random(1)
@@ -159,7 +161,8 @@ class TestResidualPolynomial:
         np2 = build_polygon(pure(13), PHI2, 2)
         res = residual_polynomial(pure(13), PHI2, 2, np2.principal_sides[0])
         assert str(res.poly) == "(j + 1)*y^2 + j*y + 1"
-        field = res.poly.field
+        field = res.field
+        assert field is res.poly.field and field.degree == 2
         j, one = field.gen(), field.one()
         # distinct roots 1 and j
         assert res.poly.evaluate(one).is_zero()
@@ -283,3 +286,5 @@ class TestRender:
     def test_render_empty(self):
         np1 = build_polygon(pure(7), IntPolynomial([0, 1]), 5)
         assert render_polygon(np1)
+        no_points = NewtonPolygon(phi=X_MINUS_1, p=2, points=(), sides=(), principal_sides=())
+        assert render_polygon(no_points) == "(empty polygon)"
