@@ -1,9 +1,11 @@
 """Answers pinned by digest.
 
-factor_mod_p and ore_factor run on a fixed seeded corpus, and a SHA-256
-of their answers is compared with a digest recorded from the polynomial
-core that did every F_p coefficient step through ResidueField's element
-methods, before the F_p int-list kernels replaced it.  A change to the
+factor_mod_p, ore_index and ore_factor run on a fixed seeded corpus, and
+a SHA-256 of their answers is compared with a recorded digest.  The
+factor_mod_p and ore_factor answers are those of the polynomial core that
+did every F_p coefficient step through ResidueField's element methods,
+before the F_p int-list kernels replaced it; the ore_index answers were
+added from the engine that still expanded f in every digit.  A change to the
 finite-field arithmetic that alters any factor, its order, a ramification
 index, a residue degree, a slope, a residual factor or a refusal changes
 the digest.  If an answer is meant to change, record the new digest in
@@ -17,12 +19,12 @@ import random
 from orefactor.errors import NotRegular, RepeatedFactor
 from orefactor.ffield import factor_mod_p
 from orefactor.intpoly import IntPolynomial
-from orefactor.ore import ore_factor
+from orefactor.ore import ore_factor, ore_index
 
 SEED = 90210
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 LARGE_PRIMES = (101, 10007, 99991, 2**61 - 1)
-DIGEST = "01f90bc003b1021cf6854eb59074a7de441642edb60c0951d6b433840a19b497"
+DIGEST = "aff74b1c04c483a5e4dd237c1bc70d4b71f771e8fa0aa16702a59195b0bd61d3"
 
 
 def small_p_case(rng):
@@ -58,9 +60,13 @@ def corpus():
 def answer(f, p):
     factors = [[list(h.coeffs), mult] for h, mult in factor_mod_p(f, p)]
     try:
+        index = list(ore_index(f, p))
+    except RepeatedFactor as exc:
+        index = type(exc).__name__
+    try:
         result = ore_factor(f, p)
     except (NotRegular, RepeatedFactor) as exc:
-        return [factors, type(exc).__name__, getattr(exc, "lower_bound", None)]
+        return [factors, type(exc).__name__, getattr(exc, "lower_bound", None), index]
     ideals = []
     for ideal in result.ideals:
         residual = ideal.residual_factor
@@ -71,7 +77,7 @@ def answer(f, p):
             str(ideal.side_slope),
             None if residual is None else [list(residual.field.modulus.coeffs), list(residual.coeffs)],
         ])
-    return [factors, result.index_valuation, ideals]
+    return [factors, result.index_valuation, ideals, index]
 
 
 def test_answers_match_the_pinned_digest():
