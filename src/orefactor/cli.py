@@ -306,7 +306,7 @@ def _cmd_factor(args) -> dict:
     _check_size("deg f", f.degree)
     notes = _irreducibility_screen(f)
     verdict = dedekind_test(f, p)
-    reports = _analyze(f, p)
+    reports = _analyze(f, p, full=True)  # the polygons print every point
     results: dict = {
         "dedekind": {
             "divides_index": verdict.divides_index,

@@ -13,8 +13,9 @@ Representation conventions:
   arithmetic mod p in F_p.  In F_{p^k}, mul reduces the digit product
   through the modulus, pow is power of the digits through _mulmod of the
   modulus, and the inverse is one extended Euclid over F_p against it.
-  The modulus must be monic and irreducible; both are checked eagerly at
-  construction.
+  The modulus must be monic, nonconstant and irreducible; all three are
+  checked at construction, but _proven_field skips Rabin's test for a
+  factor of factor_mod_p, which is irreducible by construction.
 * _FieldPolynomial is the one dense polynomial over a field: a tuple of
   element ints, ascending, trailing zeros trimmed; its shape methods and
   printing in x are intpoly._DensePolynomial's, shared with IntPolynomial.
@@ -75,6 +76,12 @@ class ResidueField:
     __slots__ = ("p", "modulus", "degree", "order", "key")
 
     def __init__(self, p: int, modulus: FpPolynomial):
+        self._setup(p, modulus)
+        if not modulus.is_irreducible():
+            raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
+
+    def _setup(self, p: int, modulus: FpPolynomial) -> None:
+        """Every check of __init__ but Rabin's test."""
         _require_prime(p)
         self.p = p
         self.modulus = modulus
@@ -85,8 +92,8 @@ class ResidueField:
             raise ValueError("modulus characteristic differs from p")
         if not modulus.is_monic():
             raise NonMonicModulus("residue-field modulus must be monic")
-        if not modulus.is_irreducible():
-            raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
+        if modulus.degree < 1:
+            raise ReducibleModulus(f"{modulus} is a constant, not a residue-field modulus")
 
     @staticmethod
     def get(p: int, modulus: FpPolynomial) -> ResidueField:
@@ -190,13 +197,29 @@ class ResidueField:
         return f"ResidueField(F_{self.p}[x]/({self.modulus}))"
 
 
+class _Proven(tuple):
+    """Coefficients of a factor of factor_mod_p.  Equal to the plain tuple and
+    hashed like it, so _field keeps one entry per field, whoever asks first."""
+
+    __slots__ = ()
+
+
+def _proven_field(phibar: FpPolynomial) -> ResidueField:
+    """The cached F_phi of a factor phibar of factor_mod_p."""
+    return _field(phibar.p, _Proven(phibar.coeffs))
+
+
 @functools.lru_cache(maxsize=_CACHE_LIMIT)
 def _field(p: int, coeffs: tuple) -> ResidueField:
-    """F_p[x]/(modulus with these coefficients); F_p itself for (0, 1)."""
-    if coeffs != (0, 1):
-        return ResidueField(p, FpPolynomial(p, coeffs))
-    field = ResidueField.__new__(ResidueField)  # x over F_p needs F_p, so F_p comes first
-    field.__init__(p, FpPolynomial._make(field, coeffs))
+    """F_p[x]/(modulus with these coefficients); F_p itself for (0, 1).
+    Rabin's test runs on every modulus but a _Proven one."""
+    field = ResidueField.__new__(ResidueField)
+    if coeffs == (0, 1):  # x over F_p needs F_p, so F_p comes first
+        field._setup(p, FpPolynomial._make(field, coeffs))
+    elif isinstance(coeffs, _Proven):
+        field._setup(p, FpPolynomial(p, coeffs))
+    else:
+        field.__init__(p, FpPolynomial(p, coeffs))
     return field
 
 
@@ -600,6 +623,9 @@ def factor_ext(g):
 
     Returns [(monic irreducible, multiplicity), ...] sorted by
     (degree, coefficient order); the unit g.leading() is implicit.
+    Every factor is irreducible by construction: y^(q^d) - y is the
+    product of the monic irreducibles of degree dividing d, and each split
+    returns a factor only once its degree shows it holds one irreducible.
     """
     if g.is_zero():
         raise ValueError("factorization of the zero polynomial")

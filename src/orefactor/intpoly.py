@@ -382,9 +382,16 @@ def phi_expand(f: IntPolynomial, phi: IntPolynomial) -> PhiExpansion:
         raise NonMonicModulus("expansion base must be monic")
     if phi.degree < 1:
         raise NonMonicModulus("expansion base must have degree >= 1")
+    return _phi_digits(f, phi, None)
+
+
+def _phi_digits(f: IntPolynomial, phi: IntPolynomial, limit) -> PhiExpansion:
+    """phi_expand for a monic phi of degree >= 1, stopped after the first
+    `limit` digits (all of them for None).  A stopped expansion does not
+    recompose to f; its digits are those of the full one."""
     terms = []
     rest = f
-    while not rest.is_zero():
+    while not rest.is_zero() and len(terms) != limit:
         rest, digit = divmod(rest, phi)
         terms.append(digit)
     if not terms:

@@ -14,9 +14,18 @@ ore_factor, ore_index and is_p_regular all read one analysis per (f, p),
 _analyze, which runs _phi_report once for each factor phi of f mod p:
 it expands f in base phi once, fetches the field F_phi once and factors
 each residual polynomial once.  The CLI's polygon command runs
-_phi_report on a phi of its own.  The only irreducibility test of phi
-runs in ResidueField, when the field is built; factor_mod_p's factors
-are not tested again.
+_phi_report on a phi of its own.
+
+_analyze computes only what the answers read.  Ore's theorem and the
+theorem of the index read the principal part of each polygon, which for
+a phi of multiplicity l in f mod p ends at (l, 0); so f is expanded only
+to its first l + 1 phi-adic digits.  The CLI's factor command asks for
+every digit, because it prints every point.  Each phi of _analyze is a
+factor of factor_mod_p, proved irreducible by its distinct- and
+equal-degree splitting, so its field F_phi is built without Rabin's
+test.  Every phi a caller supplies (build_polygon, residual_polynomial,
+phi_index, ResidueField, the CLI's polygon command) is tested when its
+field is built; a field found in the cache was proved either way.
 
 Irreducibility of f over Q is the caller's obligation throughout; it is
 assumed, not verified.  Inputs that are visibly incompatible with it
@@ -27,8 +36,10 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import IndexDivisible, NonMonicModulus, NotRegular, RepeatedFactor
-from .ffield import ExtPolynomial, FpPolynomial, ResidueField, factor_ext, factor_mod_p
-from .intpoly import IntPolynomial, _vp_poly, phi_expand
+from .ffield import (
+    ExtPolynomial, FpPolynomial, ResidueField, _proven_field, factor_ext, factor_mod_p,
+)
+from .intpoly import IntPolynomial, _phi_digits, _vp_poly
 from .polygon import NewtonPolygon, _polygon, _principal_lattice_count, _residual
 
 
@@ -146,7 +157,7 @@ class _PhiReport(Record):
         phibar: FpPolynomial,
         multiplicity: int,  # of phibar in f mod p; 0 when phi was not read off f mod p
         exact_power: int,  # the power of phi dividing f over Z
-        polygon: NewtonPolygon,
+        polygon: NewtonPolygon,  # of the digits expanded; its principal part is complete
         residuals: tuple,
         residual_factors: tuple,  # factor_ext of each residual, in side order
         index: int,
@@ -172,17 +183,19 @@ def _phi_report(expansion, field: ResidueField, multiplicity: int = 0):
     )
 
 
-def _analyze(f: IntPolynomial, p: int):
+def _analyze(f: IntPolynomial, p: int, full: bool = False):
     """The _phi_report of every phi dividing f mod p, in factor order.
 
-    Each phibar is already reduced, monic and irreducible, so it goes
-    straight to ResidueField.get; only a user's phi needs polygon._expand.
+    f is expanded to the digit mult + 1 of each phi, where its principal
+    polygon ends, or fully with full=True, for a caller that prints every
+    point; F_phi is built without Rabin's test (see the module docstring).
     """
     _require_monic(f)
     reports = []
     for phibar, mult in factor_mod_p(f, p):
         lift = phibar.lift()
-        report = _phi_report(phi_expand(f, lift), ResidueField.get(p, phibar), mult)
+        expansion = _phi_digits(f, lift, None if full else mult + 1)
+        report = _phi_report(expansion, _proven_field(phibar), mult)
         if report.exact_power >= 2:
             raise RepeatedFactor(
                 f"f is divisible by ({lift})^{report.exact_power} over Z; "

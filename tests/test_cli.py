@@ -255,6 +255,12 @@ class TestCliCommands:
     def test_reducible_phi_domain_error(self, capsys):
         assert main(["polygon", "--f", "x^12-10", "--phi", "x^2+1", "--p", "2"]) == 1
 
+    def test_constant_phi_refused_as_no_modulus(self, capsys):
+        assert main(["polygon", "--f", "x^2", "--phi", "1", "--p", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 1 is a constant, not a residue-field modulus\n"
+
     def test_squarefree_bound_env_override(self, capsys, monkeypatch):
         # a tiny bound makes the semiprime uncertifiable
         monkeypatch.setenv("OREFACTOR_SQUAREFREE_BOUND", "50")

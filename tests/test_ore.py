@@ -8,17 +8,21 @@ import pytest
 
 from conftest import FUZZ_PRIMES, FUZZ_SEED, patch_everywhere, run_snippet
 from orefactor import cli, ffield, intpoly
-from orefactor.errors import IndexDivisible, NonMonicModulus, NotRegular, RepeatedFactor
-from orefactor.ffield import FpPolynomial, _FieldPolynomial, factor_mod_p
-from orefactor.intpoly import IntPolynomial
+from orefactor.errors import (
+    IndexDivisible, NonMonicModulus, NotRegular, ReducibleModulus, RepeatedFactor,
+)
+from orefactor.ffield import FpPolynomial, ResidueField, _FieldPolynomial, factor_mod_p
+from orefactor.intpoly import IntPolynomial, discriminant, phi_expand
 from orefactor.ore import (
     _analyze,
+    _phi_report,
     dedekind_test,
     is_p_regular,
     kummer_factor,
     ore_factor,
     ore_index,
 )
+from orefactor.polygon import build_polygon, phi_index
 
 
 def pure(m):
@@ -273,8 +277,11 @@ class TestTameDiscriminantIdentity:
 
 
 class TestOneAnalysisPerPrime:
-    """Each route expands f once per phi and, from an empty field cache,
-    certifies each phi exactly once."""
+    """Each route expands f once per phi, through intpoly._phi_digits: the
+    library to the principal part's mult + 1 digits, the CLI's factor in
+    full, since it prints every point.  From an empty field cache, no
+    factor of factor_mod_p goes through Rabin's test, because its splitting
+    proved it irreducible; a user's phi goes through it exactly once."""
 
     PATHS = {
         "ore_factor": ore_factor,
@@ -285,22 +292,29 @@ class TestOneAnalysisPerPrime:
             ["factor", "--f", str(f), "--p", str(p), "--format", "json"]
         ),
     }
+    USER_PATHS = {
+        "build_polygon": build_polygon,
+        "phi_index": phi_index,
+        "cli polygon": lambda f, phi, p: cli.main(
+            ["polygon", "--f", str(f), "--phi", str(phi), "--p", str(p)]
+        ),
+    }
 
     @pytest.fixture
     def counters(self, monkeypatch):
         expanded, certified = Counter(), Counter()
-        phi_expand = intpoly.phi_expand
+        phi_digits = intpoly._phi_digits
         is_irreducible = _FieldPolynomial.is_irreducible
 
-        def counted_expand(f, phi):
-            expanded[phi.coeffs] += 1
-            return phi_expand(f, phi)
+        def counted_digits(f, phi, limit):
+            expanded[(phi.coeffs, limit)] += 1
+            return phi_digits(f, phi, limit)
 
         def counted_irreducible(g):
             certified[(g.field.key, g.coeffs)] += 1
             return is_irreducible(g)
 
-        patch_everywhere(monkeypatch, phi_expand, counted_expand)
+        patch_everywhere(monkeypatch, phi_digits, counted_digits)
         monkeypatch.setattr(_FieldPolynomial, "is_irreducible", counted_irreducible)
         ffield._field.cache_clear()
         return expanded, certified
@@ -311,10 +325,152 @@ class TestOneAnalysisPerPrime:
         expanded, certified = counters
         f = pure(13)
         self.PATHS[path](f, p)
-        phis = [phibar for phibar, _ in factor_mod_p(f, p)]
-        assert expanded == Counter(phibar.lift().coeffs for phibar in phis)
-        for phibar in phis:
-            assert certified[(phibar.field.key, phibar.coeffs)] == 1, str(phibar)
+        factors = factor_mod_p(f, p)
+        cli_path = path.startswith("cli")
+        assert expanded == Counter(
+            (phibar.lift().coeffs, None if cli_path else mult + 1) for phibar, mult in factors
+        )
+        for phibar, _ in factors:
+            assert certified[(phibar.field.key, phibar.coeffs)] == 0, str(phibar)
+
+    @pytest.mark.parametrize("path", sorted(USER_PATHS))
+    def test_user_phi_tested_once(self, counters, capsys, path):
+        expanded, certified = counters
+        f, phi, p = pure(13), IntPolynomial([1, 1, 1]), 2  # x^2 + x + 1 divides f mod 2
+        self.USER_PATHS[path](f, phi, p)
+        assert expanded == Counter({(phi.coeffs, None): 1})
+        phibar = FpPolynomial(p, phi.coeffs)
+        assert certified[(phibar.field.key, phibar.coeffs)] == 1
+
+
+@pytest.mark.parametrize("path", ["build_polygon", "ResidueField.get", "cli polygon"])
+def test_reducible_phi_refused_after_the_cache_is_warm(capsys, path):
+    """The fields that ore_factor built without Rabin's test do not let a
+    reducible phi through: x^2 - 1 = (x + 1)(x + 2) mod 3, whose factors
+    ore_factor has just put in the field cache."""
+    ffield._field.cache_clear()
+    f, p = pure(13), 3
+    ore_factor(f, p)
+    linear = [phibar for phibar, _ in factor_mod_p(f, p) if phibar.degree == 1]
+    product = linear[0] * linear[1]
+    assert ffield._field.cache_info().currsize == 4  # F_3 and the three F_phi
+    if path == "cli polygon":
+        argv = ["polygon", "--f", str(f), "--phi", str(product.lift()), "--p", str(p)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: x^2 + 2 is reducible over F_3\n"
+        return
+    with pytest.raises(ReducibleModulus):
+        if path == "build_polygon":
+            build_polygon(f, product.lift(), p)
+        else:
+            ResidueField.get(p, product)
+
+
+class TestPrincipalPartOnly:
+    """_analyze expands f in each phi only to the digit mult + 1, where
+    the principal polygon ends at (mult, 0).  Its reports must match
+    reports built from the full phi_expand in everything the answers read."""
+
+    @staticmethod
+    def full_reports(f, p):
+        return [
+            _phi_report(phi_expand(f, phibar.lift()), ResidueField.get(p, phibar), mult)
+            for phibar, mult in factor_mod_p(f, p)
+        ]
+
+    @staticmethod
+    def cases():
+        """Fuzz-style f scaled by 1, p or p^2 for p <= 13, and products of
+        factors of degree 1-3, some squared, plus p times a tail, for large p."""
+        rng = random.Random(FUZZ_SEED + 17)
+        for _ in range(600):
+            p = rng.choice(FUZZ_PRIMES)
+            scale = p ** rng.randint(0, 2)
+            degree = rng.randint(1, 12)
+            yield IntPolynomial([scale * rng.randint(-40, 40) for _ in range(degree)] + [1]), p
+        for _ in range(100):
+            p = rng.choice((101, 10007, 2**61 - 1))
+            f = IntPolynomial([1])
+            for _ in range(rng.randint(1, 4)):
+                factor = IntPolynomial([rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1])
+                f = f * factor ** rng.randint(1, 2)
+            yield f + IntPolynomial([p * rng.randint(-3, 3) for _ in range(f.degree)]), p
+
+    def test_reports_match_the_full_expansion(self):
+        compared = shortened = 0
+        for f, p in self.cases():
+            full = self.full_reports(f, p)
+            try:
+                reports = _analyze(f, p)
+            except RepeatedFactor:
+                assert any(r.exact_power >= 2 for r in full), (str(f), p)
+                continue
+            assert len(reports) == len(full)
+            for got, want in zip(reports, full):
+                case = (str(f), p, str(got.phibar))
+                assert got.phibar == want.phibar and got.multiplicity == want.multiplicity, case
+                assert got.exact_power == want.exact_power, case
+                assert got.polygon.principal_sides == want.polygon.principal_sides, case
+                assert got.residuals == want.residuals, case
+                assert got.residual_factors == want.residual_factors, case
+                assert got.index == want.index, case
+                compared += 1
+                shortened += len(got.polygon.points) < len(want.polygon.points)
+        assert compared > 1200 and shortened > 600, (compared, shortened)
+
+
+class TestTranslationIdentity:
+    """x -> x + t maps Z[x]/(f(x)) onto Z[x]/(f(x + t)), so both define the
+    same field and the same order Z[alpha].  The engine must give both the
+    same splitting of p and the same index valuation, although it lifts
+    different factors for them."""
+
+    @staticmethod
+    def shifted(f, t):
+        """f(x + t), by Horner's rule over Z."""
+        acc = IntPolynomial([])
+        for c in reversed(f.coeffs):
+            acc = acc * IntPolynomial([t, 1]) + IntPolynomial([c])
+        return acc
+
+    @staticmethod
+    def outcome(f, p):
+        """(ef multiset, index valuation), ("bound", lower bound) or None."""
+        try:
+            rep = ore_factor(f, p)
+        except NotRegular as exc:
+            return "bound", exc.lower_bound
+        except RepeatedFactor:  # a statement about the lifts, not the field
+            return None
+        return rep.ef_multiset(), rep.index_valuation
+
+    def test_shifted_pairs_agree(self):
+        rng = random.Random(FUZZ_SEED + 5)
+        kinds = Counter()
+        while sum(kinds.values()) < 1000:
+            p = rng.choice((2, 3, 5, 7))
+            degree = rng.randint(2, 10)
+            scale = p ** rng.randint(0, 2)
+            f = IntPolynomial([scale * rng.randint(-20, 20) for _ in range(degree)] + [1])
+            if discriminant(f) == 0:  # the ring is not reduced
+                continue
+            t = rng.choice([k for k in range(-20, 21) if k])
+            pair = self.outcome(f, p), self.outcome(self.shifted(f, t), p)
+            if None in pair:
+                kinds["repeated"] += 1
+                continue
+            bounds = [value for kind, value in pair if kind == "bound"]
+            case = (str(f), t, p, pair)
+            if not bounds:
+                assert pair[0] == pair[1], case
+                kinds["answered, v > 0" if pair[0][1] else "answered"] += 1
+            elif len(bounds) == 1:
+                exact = next(value for kind, value in pair if kind != "bound")
+                assert bounds[0] <= exact, case
+                kinds["one bound"] += 1
+            else:
+                kinds["two bounds"] += 1
+        assert kinds["answered, v > 0"] > 300 and kinds["one bound"] > 20, kinds
 
 
 def test_primality_certified_once_per_field(monkeypatch):
