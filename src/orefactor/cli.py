@@ -586,8 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="classify every squarefree m in a range")
     sweep.add_argument("--range", required=True, help="inclusive range, e.g. 2..50 or -50..50")
     sweep.add_argument("--mode", choices=["theorem", "engine", "both"], default="both")
-    sweep.add_argument("--mod4", type=int, default=None, help="keep only m with m %% 4 == MOD4")
-    sweep.add_argument("--mod9", type=int, default=None, help="keep only m with m %% 9 == MOD9")
+    for k in (4, 9):
+        text = f"keep only m with m %% {k} == MOD{k}, 0 <= MOD{k} < {k}"
+        sweep.add_argument(f"--mod{k}", type=int, choices=range(k), metavar=f"MOD{k}", help=text)
     _output_options(sweep, _cmd_sweep, _sweep_text, formats=("text", "json", "csv"))
     return parser
 

@@ -13,9 +13,12 @@ Representation conventions:
   arithmetic mod p in F_p.  In F_{p^k}, mul reduces the digit product
   through the modulus, pow is power of the digits through _mulmod of the
   modulus, and the inverse is one extended Euclid over F_p against it.
-  The modulus must be monic, nonconstant and irreducible; all three are
-  checked at construction, but _proven_field skips Rabin's test for a
-  factor of factor_mod_p, which is irreducible by construction.
+  The modulus must be monic, nonconstant and irreducible.  Fields are
+  cached by _field(p, coeffs, check).  A factor of factor_mod_p, proved
+  irreducible by its splitting, comes with check False and is never
+  tested again.  A caller's modulus (ResidueField.get) comes with check
+  True: Rabin's test and the other checks run once per cache entry, also
+  when the same field was already built for a factor.
 * _FieldPolynomial is the one dense polynomial over a field: a tuple of
   element ints, ascending, trailing zeros trimmed; its shape methods and
   printing in x are intpoly._DensePolynomial's, shared with IntPolynomial.
@@ -98,12 +101,12 @@ class ResidueField:
     @staticmethod
     def get(p: int, modulus: FpPolynomial) -> ResidueField:
         """The cached F_p[x]/(modulus); the constructor refuses a modulus over F_q, q != p."""
-        return _field(p, modulus.coeffs) if modulus.p == p else ResidueField(p, modulus)
+        return _field(p, modulus.coeffs, True) if modulus.p == p else ResidueField(p, modulus)
 
     @staticmethod
     def prime_field(p: int) -> ResidueField:
         """F_p itself, realized with modulus x."""
-        return _field(p, (0, 1))
+        return _field(p, (0, 1), False)
 
     # -- element operations on ints: mul, pow and inverse use int arithmetic in F_p --
 
@@ -197,29 +200,19 @@ class ResidueField:
         return f"ResidueField(F_{self.p}[x]/({self.modulus}))"
 
 
-class _Proven(tuple):
-    """Coefficients of a factor of factor_mod_p.  Equal to the plain tuple and
-    hashed like it, so _field keeps one entry per field, whoever asks first."""
-
-    __slots__ = ()
-
-
-def _proven_field(phibar: FpPolynomial) -> ResidueField:
-    """The cached F_phi of a factor phibar of factor_mod_p."""
-    return _field(phibar.p, _Proven(phibar.coeffs))
-
-
 @functools.lru_cache(maxsize=_CACHE_LIMIT)
-def _field(p: int, coeffs: tuple) -> ResidueField:
+def _field(p: int, coeffs: tuple, check: bool) -> ResidueField:
     """F_p[x]/(modulus with these coefficients); F_p itself for (0, 1).
-    Rabin's test runs on every modulus but a _Proven one."""
+    With check, the constructor's checks run first; either way the field
+    is the unchecked entry's."""
+    if check:
+        ResidueField(p, FpPolynomial(p, coeffs))
+        return _field(p, coeffs, False)
     field = ResidueField.__new__(ResidueField)
     if coeffs == (0, 1):  # x over F_p needs F_p, so F_p comes first
         field._setup(p, FpPolynomial._make(field, coeffs))
-    elif isinstance(coeffs, _Proven):
-        field._setup(p, FpPolynomial(p, coeffs))
     else:
-        field.__init__(p, FpPolynomial(p, coeffs))
+        field._setup(p, FpPolynomial(p, coeffs))
     return field
 
 

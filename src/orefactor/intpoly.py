@@ -249,7 +249,9 @@ class IntPolynomial(_DensePolynomial):
 
     @staticmethod
     def pure(n: int, m: int) -> IntPolynomial:
-        """x^n - m, the defining polynomial of a pure field."""
+        """x^n - m, the defining polynomial of a pure field; n >= 1."""
+        if n < 1:
+            raise ValueError(f"x^n - m needs n >= 1, got n = {n}")
         return IntPolynomial([-m] + [0] * (n - 1) + [1])
 
     def __eq__(self, other) -> bool:

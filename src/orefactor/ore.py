@@ -21,11 +21,7 @@ theorem of the index read the principal part of each polygon, which for
 a phi of multiplicity l in f mod p ends at (l, 0); so f is expanded only
 to its first l + 1 phi-adic digits.  The CLI's factor command asks for
 every digit, because it prints every point.  Each phi of _analyze is a
-factor of factor_mod_p, proved irreducible by its distinct- and
-equal-degree splitting, so its field F_phi is built without Rabin's
-test.  Every phi a caller supplies (build_polygon, residual_polynomial,
-phi_index, ResidueField, the CLI's polygon command) is tested when its
-field is built; a field found in the cache was proved either way.
+factor of factor_mod_p, so F_phi is not tested again (see ffield).
 
 Irreducibility of f over Q is the caller's obligation throughout; it is
 assumed, not verified.  Inputs that are visibly incompatible with it
@@ -37,7 +33,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import IndexDivisible, NonMonicModulus, NotRegular, RepeatedFactor
 from .ffield import (
-    ExtPolynomial, FpPolynomial, ResidueField, _proven_field, factor_ext, factor_mod_p,
+    ExtPolynomial, FpPolynomial, ResidueField, _field, factor_ext, factor_mod_p,
 )
 from .intpoly import IntPolynomial, _phi_digits, _vp_poly
 from .polygon import NewtonPolygon, _polygon, _principal_lattice_count, _residual
@@ -188,14 +184,14 @@ def _analyze(f: IntPolynomial, p: int, full: bool = False):
 
     f is expanded to the digit mult + 1 of each phi, where its principal
     polygon ends, or fully with full=True, for a caller that prints every
-    point; F_phi is built without Rabin's test (see the module docstring).
+    point.
     """
     _require_monic(f)
     reports = []
     for phibar, mult in factor_mod_p(f, p):
         lift = phibar.lift()
         expansion = _phi_digits(f, lift, None if full else mult + 1)
-        report = _phi_report(expansion, _proven_field(phibar), mult)
+        report = _phi_report(expansion, _field(p, phibar.coeffs, False), mult)
         if report.exact_power >= 2:
             raise RepeatedFactor(
                 f"f is divisible by ({lift})^{report.exact_power} over Z; "

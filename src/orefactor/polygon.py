@@ -122,11 +122,8 @@ def _lower_hull(points):
 def _expand(f: IntPolynomial, phi: IntPolynomial, p: int):
     """The full phi-expansion of f and the field F_phi, for a caller's phi.
 
-    A phi that is not monic is refused here.  ResidueField.get refuses a
-    constant or reducible one: it runs Rabin's test once per field it
-    builds.  A field already in the cache is not tested again; it was
-    either tested or built for a factor of factor_mod_p, whose splitting
-    proved it irreducible.
+    A phi that is not monic is refused here, a constant or reducible one
+    by ResidueField.get.
     """
     if not phi.is_monic():
         raise NonMonicModulus("phi must be monic")

@@ -167,6 +167,16 @@ class TestCliCommands:
             m = int(line.split(",")[0])
             assert m % 4 == 1
 
+    @pytest.mark.parametrize(
+        "option", ["--mod4=4", "--mod4=7", "--mod4=-1", "--mod9=9", "--mod9=-1"]
+    )
+    def test_sweep_residue_filter_out_of_range_is_a_usage_error(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--range=2..10", option])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice" in captured.err
+
     def test_sweep_negative_range_json(self, capsys):
         # negative bounds need the '=' form so argparse keeps the value intact
         assert main(["sweep", "--range=-10..10", "--format", "json"]) == 0

@@ -65,6 +65,15 @@ class TestIntPolynomial:
         assert (X + IntPolynomial.constant(1)) ** 2 == poly(1, 2, 1)
         assert IntPolynomial.pure(12, 5)(2) == 2**12 - 5
 
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_pure_refuses_n_below_one(self, n):
+        with pytest.raises(ValueError):
+            IntPolynomial.pure(n, 5)
+
+    def test_pure_low_degrees(self):
+        assert IntPolynomial.pure(1, 5) == poly(-5, 1)
+        assert IntPolynomial.pure(2, 5) == poly(-5, 0, 1)
+
     def test_shift(self):
         assert poly(1, 2).shift(3) == poly(0, 0, 0, 1, 2)
         assert poly().shift(3) == poly()

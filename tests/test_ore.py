@@ -12,7 +12,7 @@ from orefactor.errors import (
     IndexDivisible, NonMonicModulus, NotRegular, ReducibleModulus, RepeatedFactor,
 )
 from orefactor.ffield import FpPolynomial, ResidueField, _FieldPolynomial, factor_mod_p
-from orefactor.intpoly import IntPolynomial, discriminant, phi_expand
+from orefactor.intpoly import IntPolynomial, discriminant, phi_expand, vp_int
 from orefactor.ore import (
     _analyze,
     _phi_report,
@@ -276,6 +276,42 @@ class TestTameDiscriminantIdentity:
         assert checked > 150
 
 
+class TestDiscriminantDifferentIdentity:
+    """v_p(disc f) = 2 v_p(ind) + v_p(disc K), and v_p(disc K) is the sum of
+    v_P(different) * f over the primes P above p: (e - 1) * f where p does
+    not divide e, at least e * f where it does.  disc f comes from the
+    resultant over Z, which shares no code with the polygons."""
+
+    def test_seeded_monic_f(self):
+        rng = random.Random(FUZZ_SEED + 7)
+        kinds = Counter()
+        while kinds["tame"] + kinds["wild"] < 2000:
+            p = rng.choice(FUZZ_PRIMES)
+            degree = rng.randint(2, 12)
+            scale = p ** rng.randint(0, 2)
+            f = IntPolynomial([scale * rng.randint(-20, 20) for _ in range(degree)] + [1])
+            disc = discriminant(f)
+            if disc == 0:  # the ring is not reduced
+                continue
+            try:
+                rep = ore_factor(f, p)
+            except (NotRegular, RepeatedFactor):
+                continue
+            efs = rep.ef_multiset()
+            tame = sum((e - 1) * f_ for e, f_ in efs if e % p)
+            wild = sum(e * f_ for e, f_ in efs if e % p == 0)
+            lower = 2 * rep.index_valuation + tame + wild
+            case = (str(f), p, efs, rep.index_valuation)
+            if wild:
+                assert vp_int(disc, p) >= lower, case
+                kinds["wild"] += 1
+            else:
+                assert vp_int(disc, p) == lower, case
+                kinds["tame"] += 1
+                kinds["tame, ramified"] += tame > 0
+        assert kinds["wild"] > 200 and kinds["tame, ramified"] > 200, kinds
+
+
 class TestOneAnalysisPerPrime:
     """Each route expands f once per phi, through intpoly._phi_digits: the
     library to the principal part's mult + 1 digits, the CLI's factor in
@@ -341,6 +377,20 @@ class TestOneAnalysisPerPrime:
         assert expanded == Counter({(phi.coeffs, None): 1})
         phibar = FpPolynomial(p, phi.coeffs)
         assert certified[(phibar.field.key, phibar.coeffs)] == 1
+
+    def test_user_phi_tested_after_the_cache_is_warm(self, counters):
+        """A caller's phi is tested once even where ore_factor has already
+        cached its field as a factor: x^2 + 1 divides x^12 - 13 mod 3."""
+        _, certified = counters
+        f, p = pure(13), 3
+        ore_factor(f, p)
+        phibar = FpPolynomial(p, (1, 0, 1))
+        assert phibar.coeffs in [factor.coeffs for factor, _ in factor_mod_p(f, p)]
+        assert sum(certified.values()) == 0
+        build_polygon(f, phibar.lift(), p)
+        assert certified == Counter({(phibar.field.key, phibar.coeffs): 1})
+        build_polygon(f, phibar.lift(), p)
+        assert sum(certified.values()) == 1
 
 
 @pytest.mark.parametrize("path", ["build_polygon", "ResidueField.get", "cli polygon"])

@@ -11,6 +11,9 @@
   by Dedekind's criterion.  An exception inside sympy, an answer that
   fails the identity, or a call that outlasts its alarm is a skip, so
   pytest's skip count reports them.
+* The paper's own fields x^12 - m against prime_decomp at p = 2 and 3.
+  They take about 0.4 s a case, so they carry the slow marker, which
+  the default run deselects; run them with `pytest -m slow`.
 
 sympy is in the `test` extra, and this module is skipped where it is not
 installed.
@@ -104,14 +107,14 @@ def _nf_id(value):
 
 
 @contextlib.contextmanager
-def _alarm():
-    """Raise TimeoutError in the body after _ALARM_SECONDS."""
+def _alarm(seconds=_ALARM_SECONDS):
+    """Raise TimeoutError in the body after `seconds`."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"sympy took over {_ALARM_SECONDS} s")
+        raise TimeoutError(f"sympy took over {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(_ALARM_SECONDS)
+    signal.alarm(seconds)
     try:
         yield
     finally:
@@ -120,11 +123,11 @@ def _alarm():
 
 
 @functools.lru_cache(maxsize=None)
-def _round_two(coeffs):
+def _round_two(coeffs, seconds=_ALARM_SECONDS):
     """(T, ZK, dK, index) from sympy for f, or why sympy's answer is not used."""
     T = sympy.Poly(coeffs[::-1], _X, domain=sympy.ZZ)
     try:
-        with _alarm():
+        with _alarm(seconds):
             ZK, dK = round_two(T)
     except Exception as exc:
         return f"round_two raised {type(exc).__name__}: {exc}"
@@ -165,3 +168,29 @@ def test_ore_factor_matches_sympy_prime_decomp(coeffs, p):
     assert ours.ef_multiset() == sorted((P.e, P.f) for P in ideals), (coeffs, p)
     assert ours.index_valuation == v, (coeffs, p)
     assert ore_index(f, p) == (v, True), (coeffs, p)
+
+
+_PURE_M = [m for m in range(-26, 27) if abs(m) >= 2 and all(m % (d * d) for d in (2, 3, 5))]
+_SLOW_ALARM_SECONDS = 20
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("p", (2, 3), ids=_nf_id)
+@pytest.mark.parametrize("m", _PURE_M)
+def test_pure_x12_matches_sympy_prime_decomp(m, p):
+    """x^12 - m for squarefree 2 <= |m| <= 26, irreducible over Q: the
+    (e, f) multiset and the exact v_p of the index agree with sympy."""
+    f = IntPolynomial.pure(12, m)
+    known = _round_two(f.coeffs, _SLOW_ALARM_SECONDS)
+    if isinstance(known, str):
+        pytest.skip(known)
+    T, ZK, dK, index = known
+    ours = ore_factor(f, p)
+    try:
+        with _alarm(_SLOW_ALARM_SECONDS):
+            ideals = prime_decomp(p, T=T, ZK=ZK, dK=dK)
+    except Exception as exc:
+        pytest.skip(f"prime_decomp raised {type(exc).__name__}: {exc}")
+    assert ours.ef_multiset() == sorted((P.e, P.f) for P in ideals), (m, p)
+    assert ours.index_valuation == vp_int(index, p), (m, p)
