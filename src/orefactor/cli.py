@@ -55,6 +55,17 @@ class UsageError(EngineError):
     """A setting from the environment is malformed (exit code 2)."""
 
 
+# One term: a sign (optional on the first term only), then a coefficient
+# with an optional '*', then x with an optional '^' exponent, whitespace
+# allowed between the parts.  Every part is optional here, so a match
+# never fails; parse_poly reads the groups to refuse what is malformed.
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-])?\s*"
+    r"(?:(?P<coeff>\d+)(?P<dot>\.)?\s*(?P<star>\*)?\s*)?"
+    r"(?:(?P<x>x)(?:\s*\^\s*(?P<exp>\d*))?)?\s*"
+)
+
+
 def parse_poly(text: str) -> IntPolynomial:
     """Parse an integer polynomial in x: terms c, x^k, c*x^k, signs.
 
@@ -62,68 +73,40 @@ def parse_poly(text: str) -> IntPolynomial:
     Printing the result with str() and re-parsing gives the same
     polynomial.
     """
+    if not text.strip():
+        raise PolyParseError("empty polynomial expression", len(text))
     coeffs: dict[int, int] = {}
-    n = len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    i = skip_ws(0)
-    if i == n:
-        raise PolyParseError("empty polynomial expression", i)
-    first = True
-    while i < n:
-        sign = 1
-        if text[i] == "+":
-            i = skip_ws(i + 1)
-        elif text[i] == "-":
-            sign = -1
-            i = skip_ws(i + 1)
-        elif not first:
+    i = 0
+    while i < len(text):
+        term = _TERM.match(text, i)
+        if i and term["sign"] is None:
             raise PolyParseError(f"expected '+' or '-', found {text[i]!r}", i)
-        coeff = None
-        if i < n and text[i].isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j < n and text[j] == ".":
-                raise NonIntegerCoefficient("coefficients must be integers", j)
-            coeff = _int_literal(text[i:j], i)
-            i = skip_ws(j)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-                if i >= n or text[i] != "x":
-                    raise PolyParseError("expected 'x' after '*'", i)
-        if i < n and text[i] == "x":
-            i += 1
-            k = 1
-            j = skip_ws(i)
-            if j < n and text[j] == "^":
-                j = skip_ws(j + 1)
-                if j >= n or not text[j].isdecimal():
-                    raise PolyParseError("expected an exponent after '^'", j)
-                start = j
-                while j < n and text[j].isdecimal():
-                    j += 1
-                digits = text[start:j].lstrip("0")  # by length first: int() caps digits
-                if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-                    raise PolyParseError("exponent too large", start)
-                k = int(digits or 0)
-                i = j
-            c = 1 if coeff is None else coeff
-            coeffs[k] = coeffs.get(k, 0) + sign * c
-        elif coeff is not None:
-            coeffs[0] = coeffs.get(0, 0) + sign * coeff
-        else:
-            raise PolyParseError("expected a term", i)
-        first = False
-        i = skip_ws(i)
-    out = [0] * (max(coeffs) + 1 if coeffs else 0)
-    for k, c in coeffs.items():
-        out[k] = c
-    return IntPolynomial(out)
+        if term["dot"]:
+            raise NonIntegerCoefficient("coefficients must be integers", term.start("dot"))
+        c = 1 if term["coeff"] is None else _int_literal(term["coeff"], term.start("coeff"))
+        if term["star"] and not term["x"]:
+            raise PolyParseError("expected 'x' after '*'", term.end())
+        if term["exp"] == "":
+            raise PolyParseError("expected an exponent after '^'", term.start("exp"))
+        if not (term["coeff"] or term["x"]):
+            raise PolyParseError("expected a term", term.end())
+        k = _exponent(term["exp"], term.start("exp")) if term["exp"] else 1 if term["x"] else 0
+        coeffs[k] = coeffs.get(k, 0) + (-c if term["sign"] == "-" else c)
+        i = term.end()
+    return IntPolynomial([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+
+
+def _exponent(digits: str, position: int) -> int:
+    """int(digits), refused above _MAX_EXPONENT.
+
+    int() caps the digits it reads, so only the last `width` go through
+    it; each digit before them must have value 0, in any script.
+    """
+    width = len(str(_MAX_EXPONENT))
+    k = int(digits[-width:])
+    if any(map(int, digits[:-width])) or k > _MAX_EXPONENT:
+        raise PolyParseError("exponent too large", position)
+    return k
 
 
 def _int_literal(digits: str, position: int) -> int:
@@ -571,15 +554,20 @@ def build_parser() -> argparse.ArgumentParser:
     factor = sub.add_parser(
         "factor", help="factor p in Z[x]/(f): index test, polygons, ideal table"
     )
-    factor.add_argument("--f", required=True, help="monic integer polynomial in x")
+    dash = "; a leading '-' needs '=', as in --{}=-13+x^12"
+    factor.add_argument(
+        "--f", required=True, help="monic integer polynomial in x" + dash.format("f")
+    )
     factor.add_argument("--p", type=int, required=True, help="rational prime")
     _output_options(factor, _cmd_factor, _factor_text)
 
     polygon = sub.add_parser(
         "polygon", help="Newton polygon of f with respect to phi and p"
     )
-    polygon.add_argument("--f", required=True)
-    polygon.add_argument("--phi", required=True, help="monic polynomial, irreducible mod p")
+    polygon.add_argument("--f", required=True, help="integer polynomial in x" + dash.format("f"))
+    polygon.add_argument(
+        "--phi", required=True, help="monic polynomial, irreducible mod p" + dash.format("phi")
+    )
     polygon.add_argument("--p", type=int, required=True)
     _output_options(polygon, _cmd_polygon, _polygon_text)
 

@@ -462,6 +462,10 @@ class ExtPolynomial(_FieldPolynomial):
 
     @classmethod
     def from_ints(cls, field: ResidueField, ints) -> ExtPolynomial:
+        """The polynomial whose coefficients are the ints reduced mod p, in the prime subfield.
+
+        The ints are not element ints in [0, q): over F_9, [4] is the constant 1, not j + 1.
+        """
         return cls._make(field, [c % field.p for c in ints])
 
     @classmethod

@@ -23,6 +23,40 @@ from orefactor.intpoly import IntPolynomial
 from orefactor.ore import ore_factor
 
 
+@st.composite
+def _drawn_terms(draw):
+    """A drawn expression and the coefficients it denotes."""
+    zero = draw(st.sampled_from(["0", "٠", "０", "०"]))  # ASCII, Arabic-Indic, fullwidth, Devanagari
+
+    def numeral(value):
+        return "".join(chr(ord(zero) + int(d)) for d in str(value))
+
+    def ws():
+        return draw(st.text(alphabet=" \t", max_size=2))
+
+    expected, parts = {}, []
+    for index in range(draw(st.integers(1, 5))):
+        negative = draw(st.booleans())
+        sign = "-" if negative else "+" if index or draw(st.booleans()) else ""
+        coeff = draw(st.one_of(st.none(), st.integers(0, 10**12)))
+        power = draw(st.one_of(st.none(), st.integers(0, 40)))  # None: no x
+        if coeff is None and power is None:
+            power = 1
+        part = [sign, numeral(coeff) if coeff is not None else ""]
+        if power is not None:
+            if coeff is not None and draw(st.booleans()):
+                part.append("*")
+            part.append("x")
+            if power != 1 or draw(st.booleans()):
+                part += ["^", zero * draw(st.integers(0, 3)) + numeral(power)]
+        parts.append("".join(ws() + piece for piece in part))
+        k = 0 if power is None else power
+        value = 1 if coeff is None else coeff
+        expected[k] = expected.get(k, 0) + (-value if negative else value)
+    dense = [expected.get(k, 0) for k in range(max(expected) + 1)]
+    return "".join(parts) + ws(), IntPolynomial(dense)
+
+
 class TestParsePoly:
     def test_examples(self):
         assert parse_poly("x^12-33") == IntPolynomial.pure(12, 33)
@@ -80,6 +114,44 @@ class TestParsePoly:
     def test_roundtrip_property(self, coeffs):
         f = IntPolynomial(coeffs)
         assert parse_poly(str(f)) == f
+
+    # One input per refusal kind: (text, exception class, message, position).
+    @pytest.mark.parametrize(
+        "text, cls, message, position",
+        [
+            (" \t ", PolyParseError, "empty polynomial expression", 3),
+            ("x 2", PolyParseError, "expected '+' or '-', found '2'", 2),
+            ("x + 0.25", NonIntegerCoefficient, "coefficients must be integers", 5),
+            ("x + " + "1" * 5000, PolyParseError, "integer literal too long", 4),
+            ("3 * y", PolyParseError, "expected 'x' after '*'", 4),
+            ("x^ y", PolyParseError, "expected an exponent after '^'", 3),
+            ("x ^ 1000001", PolyParseError, "exponent too large", 4),
+            ("x^2 + + 3", PolyParseError, "expected a term", 6),
+        ],
+        ids=["empty", "sign", "non-integer", "long-literal", "star", "caret", "exponent", "term"],
+    )
+    def test_every_refusal_kind(self, text, cls, message, position):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert type(err.value) is cls
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("zero", ["0", "٠", "０"])
+    def test_exponent_leading_zeros_of_any_script(self, zero):
+        """Leading zeros count by digit value, not as ASCII '0' only."""
+        assert parse_poly(f"x^{zero * 6}3") == IntPolynomial([0, 0, 0, 1])
+        assert parse_poly("x^" + zero * 5000 + "3") == IntPolynomial([0, 0, 0, 1])
+        with pytest.raises(PolyParseError, match="exponent too large"):
+            parse_poly(f"x^{zero * 6}1000000")
+
+    @seed(FUZZ_SEED)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(case=_drawn_terms())
+    def test_grammar_oracle(self, case):
+        """parse_poly agrees with the sum of independently drawn terms."""
+        text, expected = case
+        assert parse_poly(text) == expected
 
 
 class TestCliCommands:
