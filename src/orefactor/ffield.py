@@ -17,12 +17,12 @@ Representation conventions:
   cached by _field(p, coeffs, check).  A factor of factor_mod_p, proved
   irreducible by its splitting, comes with check False and is never
   tested again.  A caller's modulus (ResidueField.get) comes with check
-  True: Rabin's test and the other checks run once per cache entry, also
-  when the same field was already built for a factor.
+  True: the irreducibility test and the other checks run once per cache
+  entry, also when the same field was already built for a factor.
 * _FieldPolynomial is the one dense polynomial over a field: a tuple of
   element ints, ascending, trailing zeros trimmed; its shape methods and
   printing in x are intpoly._DensePolynomial's, shared with IntPolynomial.
-  Arithmetic, gcd, pow_mod, Rabin's irreducibility test and the
+  Arithmetic, gcd, pow_mod, the irreducibility test and the
   factorization engine below are written once against it; operands over
   different fields raise ValueError.  Its public faces differ only in
   construction and printing: FpPolynomial lives over F_p and prints in
@@ -39,11 +39,12 @@ Factoring (factor_ext, factor_mod_p) is squarefree split, distinct-degree
 split, then Cantor-Zassenhaus equal-degree splitting: gcds with
 a^((q^d-1)/2) - 1 for odd q, or with the trace a + a^2 + ... +
 a^(2^(dk-1)) for q = 2^k, over random trials a drawn from a fixed seed.
-Rabin's test and the distinct-degree split exponentiate once per modulus
-g, to x^q mod g; Frobenius is linear, so every further w^(q^i) mod g,
-there and in the equal-degree split, is a matrix-vector product
-(_frobenius).  Time and memory are polynomial in log q.  Factor lists
-are sorted by (degree, coefficient ints), so every run is identical.
+The distinct-degree split exponentiates once per modulus g, to x^q mod
+g; Frobenius is linear, so every further w^(q^i) mod g, there and in the
+equal-degree split, is a matrix-vector product (_frobenius).  The split's
+lazy first block is the irreducibility test.  Time and memory are
+polynomial in log q.  Factor lists are sorted by (degree, coefficient
+ints), so every run is identical.
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ import random
 
 from ._fparith import convolve, divmod_p, gcd_p, mulmod_p, power
 from .errors import NonMonicModulus, ReducibleModulus, ZeroModP
-from .intpoly import (
-    IntPolynomial, _DensePolynomial, _format_poly, _prime_divisors, _require_prime, _trimmed,
-)
+from .intpoly import IntPolynomial, _DensePolynomial, _format_poly, _require_prime, _trimmed
 
 
 _CACHE_LIMIT = 64
@@ -84,7 +83,7 @@ class ResidueField:
             raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
 
     def _setup(self, p: int, modulus: FpPolynomial) -> None:
-        """Every check of __init__ but Rabin's test."""
+        """Every check of __init__ but the irreducibility test."""
         _require_prime(p)
         self.p = p
         self.modulus = modulus
@@ -405,25 +404,11 @@ class _FieldPolynomial(_DensePolynomial):
         return self._new(power(_mulmod(modulus), (self % modulus).coeffs, e))
 
     def is_irreducible(self) -> bool:
-        """Rabin's test, deterministic for any field and degree: one chain
-        w_i = x^(q^i) mod g, i = 1..n, checks gcd(g, w_(n/r) - x) = 1 for
-        each prime r | n, and w_n = x.  Only w_1 = x^q is an exponentiation;
-        each later step applies the Frobenius matrix of g (_frobenius)."""
-        n = self.degree
-        if n < 1:
+        """True iff the distinct-degree split's first block is all of self.monic()."""
+        if self.degree < 1:
             return False
-        if n == 1:
-            return True
         g = self.monic()
-        frobenius = _frobenius(g)
-        x = self._new((0, 1))
-        checks = {n // r for r in _prime_divisors(n)}
-        w = x
-        for i in range(1, n + 1):
-            w = frobenius(w)
-            if i in checks and g.gcd(w - x).degree != 0:
-                return False
-        return w == x
+        return next(_distinct_degree_split(g, _frobenius(g))) == (g, g.degree)
 
 
 class FpPolynomial(_FieldPolynomial):
@@ -507,7 +492,7 @@ def _frobenius(g):
     (Berlekamp's Q-matrix); each application then costs n^2 field operations.
     """
     n, field, mulmod = g.degree, g.field, _mulmod(g)
-    xq = power(mulmod, (0, 1), field.order)
+    xq = power(mulmod, (0, 1), field.order) if n > 1 else None  # read by rows past x^0
     rows = [(1,)]
     while len(rows) < n:
         rows.append(mulmod(rows[-1], xq))
@@ -562,10 +547,13 @@ def _squarefree_split(g):
 
 
 def _distinct_degree_split(g, frobenius):
-    """Monic squarefree g and its _frobenius -> list of (product of
-    irreducibles of degree d, d); w = y^(q^d) mod g costs one Frobenius
-    product per d, and since rest | g, w % rest is y^(q^d) mod rest."""
-    out = []
+    """Monic g and its _frobenius -> blocks (h, d), lowest d first, each yielded
+    once found; for squarefree g, h is the product of g's irreducibles of degree d.
+    The first block decides irreducibility for any monic g, squarefree or not: a
+    reducible g of degree n has an irreducible factor of degree <= n/2, so the
+    first block is (g, n) iff g is irreducible (von zur Gathen & Gerhard, Modern
+    Computer Algebra, §14.2).  w = y^(q^d) mod g costs one Frobenius product per
+    d, and since rest | g, w % rest is y^(q^d) mod rest."""
     rest = g
     if g.degree >= 2:
         y = w = g._new((0, 1))
@@ -575,11 +563,10 @@ def _distinct_degree_split(g, frobenius):
             w = frobenius(w)
             h = rest.gcd(w % rest - y)
             if h.degree > 0:
-                out.append((h, d))
+                yield h, d
                 rest = rest // h
     if rest.degree > 0:
-        out.append((rest, rest.degree))
-    return out
+        yield rest, rest.degree
 
 
 def _split_equal_degree(g, d: int, frobenius, rng=None):

@@ -189,9 +189,6 @@ def witness_nonmonogenic(report: PrimeFactorization):
     return None
 
 
-_WITNESS_PRIMES = (2, 3)
-
-
 def classify_engine(
     m: int,
     n: int = 12,
@@ -200,10 +197,10 @@ def classify_engine(
     """Engine classification via polygon factorization at every p | disc.
 
     MONOGENIC_Z_ALPHA iff the index valuation is exactly zero at every
-    prime dividing n*m.  NOT_MONOGENIC only through a counting witness;
-    index divisibility alone never suffices, since it speaks about the
-    single generator alpha.  Anything else is UNDECIDED (cannot occur
-    for n = 12 and squarefree m).
+    prime dividing n*m.  NOT_MONOGENIC only through a counting witness at
+    any of those primes; index divisibility alone never suffices, since it
+    speaks about the single generator alpha.  Anything else is UNDECIDED
+    (cannot occur for n = 12 and squarefree m).
     """
     return _classify_engine(PureFieldInput(m=m, n=n, squarefree_bound=squarefree_bound))
 
@@ -227,7 +224,7 @@ def _classify_engine(inp: PureFieldInput) -> MonogenityVerdict:
         valuations.append((p, report.index_valuation, True))
     status, witnesses = Status.MONOGENIC_Z_ALPHA, ()
     if not all(exact and v == 0 for _, v, exact in valuations):
-        found = [(p, witness_nonmonogenic(reports[p])) for p in _WITNESS_PRIMES if p in reports]
+        found = [(p, witness_nonmonogenic(report)) for p, report in reports.items()]
         witnesses = tuple([(p,) + w for p, w in found if w is not None])
         status = Status.NOT_MONOGENIC if witnesses else Status.UNDECIDED
     return MonogenityVerdict(

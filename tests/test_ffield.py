@@ -541,10 +541,10 @@ def _necklace_count(q, d):
     return sum(mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
 
 
-class TestRabinExhaustive:
+class TestIrreducibilityExhaustive:
     def test_extension_fields(self, F4, F9):
-        """Over F_q, Rabin's test accepts as many monic polynomials of
-        degree d as the necklace count of monic irreducibles."""
+        """Over F_q, the irreducibility test accepts as many monic
+        polynomials of degree d as the necklace count of monic irreducibles."""
         for field in (F4, F9):
             els = elements(field)
             for d in (1, 2, 3):
@@ -597,8 +597,8 @@ class TestFrobeniusKernel:
 
 
 class TestOneExponentiationPerModulus:
-    """Rabin's test and distinct-degree splitting exponentiate by q once
-    per modulus; every further Frobenius power is a matrix product."""
+    """The irreducibility test and distinct-degree splitting exponentiate by
+    q once per modulus; every further Frobenius power is a matrix product."""
 
     @pytest.fixture
     def exponents(self, monkeypatch):
@@ -612,10 +612,14 @@ class TestOneExponentiationPerModulus:
         monkeypatch.setattr(ffield, "power", counted_power)
         return seen
 
-    def test_rabin_degree_12_over_f13(self, exponents):
+    def test_irreducibility_degree_12_over_f13(self, exponents):
         g = fp(13, -2, *[0] * 11, 1)  # x^12 - 2: 2 has order 12 mod 13
         assert g.is_irreducible()
         assert exponents[13] == 1
+
+    def test_degree_1_needs_no_exponentiation(self, exponents):
+        assert fp(2**61 - 1, 3, 1).is_irreducible()
+        assert not exponents
 
     def test_distinct_degree_split_1_1_10(self, exponents):
         # over F_11: (x - 1)(x - 2)(x^10 - 2), 2 a primitive root mod 11
@@ -626,6 +630,26 @@ class TestOneExponentiationPerModulus:
             (fp(11, -2, *[0] * 9, 1).coeffs, 10),
         ]
         assert exponents[11] == 1
+
+
+def test_reducible_refused_at_the_first_block(monkeypatch):
+    """x + 1 divides x^100 + 1 over F_2, so the irreducibility test stops at
+    the split's first block, after one application of the Frobenius map."""
+    applied = []
+    frobenius = ffield._frobenius
+
+    def counted_frobenius(g):
+        step = frobenius(g)
+
+        def counted(w):
+            applied.append(w)
+            return step(w)
+
+        return counted
+
+    monkeypatch.setattr(ffield, "_frobenius", counted_frobenius)
+    assert not fp(2, 1, *[0] * 99, 1).is_irreducible()
+    assert len(applied) == 1
 
 
 class TestOneProductPerModulus:
@@ -871,7 +895,7 @@ class TestPrimeFieldKernels:
 
 
 def test_large_q_regression():
-    """Degree-12 factoring and a degree-10 Rabin test mod p near 10^9.
+    """Degree-12 factoring and a degree-10 irreducibility test mod p near 10^9.
 
     x^10 - c is irreducible over F_p when 10 | p - 1 and c is neither a
     square nor a fifth power mod p (Lidl-Niederreiter, Thm 3.75)."""
@@ -889,18 +913,18 @@ factors = factor_mod_p(f, p)
 factor_s = time.perf_counter() - start
 start = time.perf_counter()
 irreducible = FpPolynomial(p, tail.coeffs).is_irreducible()
-rabin_s = time.perf_counter() - start
+irreducible_s = time.perf_counter() - start
 expected = [((p - b, 1), 1), ((p - a, 1), 1), (FpPolynomial(p, tail.coeffs).coeffs, 1)]
 print(json.dumps([[(h.coeffs, m) for h, m in factors] == expected, irreducible,
-                  factor_s, rabin_s, p, c]))
+                  factor_s, irreducible_s, p, c]))
 """
     )
     assert proc.returncode == 0, proc.stderr
-    factors_ok, irreducible, factor_s, rabin_s, p, c = json.loads(proc.stdout)
+    factors_ok, irreducible, factor_s, irreducible_s, p, c = json.loads(proc.stdout)
     assert factors_ok, (p, c)
     assert irreducible, (p, c)
     assert factor_s < 1.0
-    assert rabin_s < 1.0
+    assert irreducible_s < 1.0
 
 
 class TestCountMonicIrreducibles:

@@ -224,6 +224,15 @@ class TestEngineRoute:
         rep2 = next(r for r in verdict.per_prime_reports if r.p == 2)
         assert rep2.ef_multiset() == [(12, 1)]
 
+    @pytest.mark.parametrize("m", [26, 51])
+    def test_witness_above_three(self, m):
+        """Witnesses come from every prime dividing n*m: at p = 5, x^20 - m
+        has 8 primes of residue degree 1, and F_5 has only 5 monic linear
+        polynomials."""
+        verdict = classify_engine(m, n=20)
+        assert verdict.status is Status.NOT_MONOGENIC
+        assert verdict.witnesses == ((5, 1, 8, 5),)
+
     def test_experimental_degree_flagged(self):
         verdict = classify_engine(5, n=4)
         assert verdict.notes

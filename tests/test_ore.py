@@ -316,8 +316,9 @@ class TestOneAnalysisPerPrime:
     """Each route expands f once per phi, through intpoly._phi_digits: the
     library to the principal part's mult + 1 digits, the CLI's factor in
     full, since it prints every point.  From an empty field cache, no
-    factor of factor_mod_p goes through Rabin's test, because its splitting
-    proved it irreducible; a user's phi goes through it exactly once."""
+    factor of factor_mod_p goes through the irreducibility test, because
+    its splitting proved it irreducible; a user's phi goes through it
+    exactly once."""
 
     PATHS = {
         "ore_factor": ore_factor,
@@ -395,9 +396,9 @@ class TestOneAnalysisPerPrime:
 
 @pytest.mark.parametrize("path", ["build_polygon", "ResidueField.get", "cli polygon"])
 def test_reducible_phi_refused_after_the_cache_is_warm(capsys, path):
-    """The fields that ore_factor built without Rabin's test do not let a
-    reducible phi through: x^2 - 1 = (x + 1)(x + 2) mod 3, whose factors
-    ore_factor has just put in the field cache."""
+    """The fields that ore_factor built without the irreducibility test do
+    not let a reducible phi through: x^2 - 1 = (x + 1)(x + 2) mod 3, whose
+    factors ore_factor has just put in the field cache."""
     ffield._field.cache_clear()
     f, p = pure(13), 3
     ore_factor(f, p)

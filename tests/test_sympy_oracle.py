@@ -3,6 +3,9 @@
 * factor_mod_p against sympy's factorization over F_p.  sympy prints
   coefficients in the symmetric range (-p/2, p/2]; they are mapped into
   [0, p) here.
+* FpPolynomial.is_irreducible against sympy's irreducibility test over
+  F_p, on random polynomials (mostly reducible) and on irreducible
+  factors taken from factor_mod_p (accepted).
 * ore_factor and ore_index against sympy's number-field code: round_two
   (an integral basis and dK) once per f, prime_decomp per p.  sympy's
   answer counts only if disc(f) = dK * index^2.  It is sometimes wrong:
@@ -33,6 +36,7 @@ from sympy.polys.numberfields.basis import round_two  # noqa: E402
 from sympy.polys.numberfields.primes import prime_decomp  # noqa: E402
 
 from orefactor import (  # noqa: E402
+    FpPolynomial,
     IntPolynomial,
     NotRegular,
     factor_mod_p,
@@ -82,6 +86,33 @@ def test_factor_mod_p_matches_sympy(coeffs, p):
         pytest.skip("f vanishes mod p")
     ours = sorted((h.coeffs, mult) for h, mult in factor_mod_p(IntPolynomial(coeffs), p))
     assert ours == _sympy_factors(coeffs, p), (coeffs, p)
+
+
+def _irreducibility_cases(p):
+    """One seeded polynomial over F_p per degree 1-24, each with a random
+    nonzero leading coefficient: random at odd degrees, and at even
+    degrees the largest irreducible factor of a random f of that degree."""
+    rng = random.Random(p)
+    cases = []
+    for degree in range(1, 25):
+        coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+        if degree % 2 == 0:
+            factors = factor_mod_p(IntPolynomial(coeffs), p)
+            h = max((h for h, _ in factors), key=lambda h: h.degree)
+            coeffs = [c * coeffs[-1] for c in h.coeffs]
+        cases.append(coeffs)
+    return cases
+
+
+@pytest.mark.parametrize("p", (2, 3, 13, 65537, 2**31 - 1, 2**61 - 1))
+def test_is_irreducible_matches_sympy(p):
+    accepted = 0
+    for coeffs in _irreducibility_cases(p):
+        ours = FpPolynomial(p, coeffs).is_irreducible()
+        poly = sympy.Poly(coeffs[::-1], _X, modulus=p, symmetric=False)
+        assert ours == poly.is_irreducible, (coeffs, p)
+        accepted += ours
+    assert 0 < accepted < 24, p
 
 
 _NF_PRIMES = (2, 3, 5, 7)
