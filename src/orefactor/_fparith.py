@@ -6,6 +6,7 @@ also IntPolynomial's product over Z.  Coefficients are ascending ints in
 
 * power(mul, base, e) is the package's one square-and-multiply, for any
   product: convolve over Z, mulmod_p or ffield._mulmod(g) modulo g.
+  It is also the one place that refuses a negative exponent.
 * convolve and divmod_p are schoolbook: products are summed unreduced
   and each output coefficient is reduced once mod p.  They serve single
   products and divisions, the Euclid of gcd_p, mulmod_p below
@@ -50,7 +51,9 @@ def convolve(a, b) -> list:
 
 def power(mul, base, e: int):
     """base^e under mul, left to right: a square per bit of e, times base
-    per set bit.  e >= 0; base^0 is mul((1,), (1,))."""
+    per set bit; base^0 is mul((1,), (1,)).  e < 0 raises ValueError."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     result = (1,)
     for bit in bin(e)[2:]:
         result = mul(result, result)

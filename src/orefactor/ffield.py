@@ -65,7 +65,8 @@ class ResidueField:
     """F_p[x]/(modulus) with monic irreducible modulus, validated eagerly.
 
     Elements are ints in [0, order); the methods add, sub, neg, mul,
-    inverse and pow act on them directly.
+    inverse and pow act on them directly.  pow(a, e) with e < 0 is
+    pow(inverse(a), -e), in F_p and F_{p^k} alike.
 
     >>> F9 = ResidueField.get(3, FpPolynomial(3, (1, 0, 1)))   # x^2 + 1
     >>> a = F9.gen() + F9.one()
@@ -128,6 +129,8 @@ class ResidueField:
         return self.from_digits(prod[:k])
 
     def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            a, e = self.inverse(a), -e
         if self.degree == 1:
             return pow(a, e, self.p)
         return self.from_digits(power(_mulmod(self.modulus), self.digits(a), e))
@@ -268,8 +271,6 @@ class ResidueFieldElem:
         return self * other.inverse()
 
     def __pow__(self, e: int) -> ResidueFieldElem:
-        if e < 0:
-            return self.inverse() ** (-e)
         return self._of(self.field.pow(self.value, e))
 
     def __str__(self) -> str:
@@ -374,7 +375,7 @@ class _FieldPolynomial(_DensePolynomial):
             q = mul(rem[k + d], inv_lead)
             quot[k] = q
             if q:
-                for j in range(d + 1):
+                for j in range(d):
                     rem[k + j] = sub(rem[k + j], mul(q, div[j]))
         return self._new(quot), self._new(rem[:d])
 

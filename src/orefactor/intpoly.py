@@ -144,21 +144,6 @@ def _require_prime(p: int) -> None:
         raise NonPrime(f"{p} is not prime")
 
 
-def _prime_divisors(n: int):
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _trimmed(coeffs) -> tuple:
     """The coefficient sequence as a tuple, trailing zeros dropped."""
     n = len(coeffs)
@@ -280,8 +265,6 @@ class IntPolynomial(_DensePolynomial):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPolynomial:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
         return IntPolynomial(power(convolve, self.coeffs, n))
 
     def __divmod__(self, other: IntPolynomial):
@@ -297,7 +280,7 @@ class IntPolynomial(_DensePolynomial):
             q = rem[k + d]
             quot[k] = q
             if q:
-                for j in range(d + 1):
+                for j in range(d):
                     rem[k + j] -= q * other.coeffs[j]
         return IntPolynomial(quot), IntPolynomial(rem[:d])
 

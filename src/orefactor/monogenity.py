@@ -28,7 +28,7 @@ from .errors import (
     NotSquarefree,
     SquarefreeCheckInconclusive,
 )
-from .intpoly import IntPolynomial, _prime_divisors, _require_prime, is_prime
+from .intpoly import IntPolynomial, _require_prime, is_prime
 from .ore import PrimeFactorization, ore_factor
 
 DEFAULT_SQUAREFREE_BOUND = 10**7
@@ -43,6 +43,8 @@ def prime_factors_squarefree(m: int, bound: int = DEFAULT_SQUAREFREE_BOUND):
     prime, else the check either refutes squarefreeness (perfect power)
     or gives up with SquarefreeCheckInconclusive.
     """
+    if m == 0:
+        raise NotSquarefree("0 is divisible by every square")
     rest = abs(m)
     primes = []
     certified = rest > bound and is_prime(rest)
@@ -91,7 +93,9 @@ class PureFieldInput(Record):
 
     def ramified_candidates(self):
         """Primes dividing the discriminant of x^n - m: p | n*m."""
-        return sorted(set(self._m_primes).union(_prime_divisors(self.n)))
+        n = self.n
+        n_primes = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+        return sorted(set(self._m_primes).union(n_primes))
 
 
 class Status(enum.Enum):
@@ -149,15 +153,11 @@ def _classify_theorem(inp: PureFieldInput) -> MonogenityVerdict:
     return MonogenityVerdict(m=m, n=inp.n, status=status)
 
 
-def _mobius(n: int) -> int:
-    primes = _prime_divisors(n)
-    return (-1) ** len(primes) if math.prod(primes) == n else 0
-
-
 def count_monic_irreducibles(p: int, d: int) -> int:
     """Number of monic irreducible degree-d polynomials over F_p.
 
-    Standard necklace count: (1/d) * sum over e | d of mu(e) * p^(d/e).
+    Gauss's identity p^k = sum over e | k of e * N_e, solved for N_k
+    upward over the divisors k of d (Lidl-Niederreiter, Cor. 3.21).
 
     >>> count_monic_irreducibles(2, 2)
     1
@@ -167,11 +167,11 @@ def count_monic_irreducibles(p: int, d: int) -> int:
     _require_prime(p)
     if d < 1:
         raise ValueError("degree must be positive")
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _mobius(e) * p ** (d // e)
-    return total // d
+    counts = {}  # k -> N_k for the divisors k of d met so far
+    for k in range(1, d + 1):
+        if d % k == 0:
+            counts[k] = (p**k - sum(e * n_e for e, n_e in counts.items() if k % e == 0)) // k
+    return counts[d]
 
 
 def witness_nonmonogenic(report: PrimeFactorization):

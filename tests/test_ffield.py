@@ -292,6 +292,28 @@ class TestResidueField:
                 assert field.mul(a, inv) == 1
                 assert inv == field.pow(a, field.order - 2)  # Fermat
 
+    def test_negative_pow_is_pow_of_the_inverse(self, F4, F9):
+        """pow(a, -e) = pow(a^-1, e) in every field; over F_9 = F_3[x]/(x^2 + 1),
+        (j + 1)^-1 = j + 2 (int 5) and (j + 1)^-2 = j (int 3)."""
+        for field in (ResidueField.prime_field(5), F4, F9):
+            for a in range(1, field.order):
+                for e in (1, 2, 3):
+                    assert field.pow(a, -e) == field.pow(field.inverse(a), e), (field, a, e)
+        assert (F9.pow(4, -1), F9.pow(4, -2)) == (5, 3)
+        with pytest.raises(ZeroDivisionError):
+            F9.pow(0, -1)
+
+    def test_negative_exponent_refused_by_power(self, F9):
+        """power refuses e < 0 for every product, so pow_mod does too."""
+        g = fp(5, 2, 0, 1)  # x^2 + 2
+        for e in (-1, -3):
+            with pytest.raises(ValueError, match="negative exponent"):
+                fp(5, 0, 1).pow_mod(e, g)
+        with pytest.raises(ValueError, match="negative exponent"):
+            ExtPolynomial.y(F9).pow_mod(-1, ExtPolynomial.from_ints(F9, [1, 0, 1]))
+        with pytest.raises(ValueError, match="negative exponent"):
+            _fparith.power(convolve, (1, 1), -1)
+
     def test_inverse_in_large_extension(self):
         field = ResidueField.get(101, fp(101, -2, 0, 0, 0, 0, 1))  # x^5 - 2
         rng = random.Random(5)
@@ -943,6 +965,12 @@ class TestCountMonicIrreducibles:
                     if FpPolynomial(p, list(tail) + [1]).is_irreducible()
                 )
                 assert count_monic_irreducibles(p, d) == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 2**61 - 1])
+    def test_against_the_mobius_sum(self, p):
+        """Gauss's identity solved upward equals the Mobius sum, a separate formula."""
+        for d in range(1, 61):
+            assert count_monic_irreducibles(p, d) == _necklace_count(p, d), (p, d)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(NonPrime):

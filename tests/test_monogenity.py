@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import patch_everywhere, run_snippet
+from conftest import is_squarefree_int, patch_everywhere, run_snippet
 from orefactor import cli, monogenity
 from orefactor.errors import (
     EngineError,
@@ -19,7 +21,12 @@ from orefactor.monogenity import (
     witness_nonmonogenic,
 )
 from orefactor.intpoly import IntPolynomial
-from orefactor.ore import ore_factor
+from orefactor.ore import ore_factor, ore_index
+
+
+def _primes_dividing(n):
+    """The primes dividing n >= 1: each divisor d of n with no divisor in 2..d-1."""
+    return [d for d in range(2, n + 1) if n % d == 0 and all(d % k for k in range(2, d))]
 
 
 class TestInputValidation:
@@ -44,6 +51,11 @@ class TestInputValidation:
         assert prime_factors_squarefree(13) == [13]
         big_prime = 10**9 + 7
         assert prime_factors_squarefree(big_prime) == [big_prime]
+
+    def test_zero_is_not_squarefree(self):
+        """The trial loop never runs for 0, so 0 is refused before it."""
+        with pytest.raises(NotSquarefree):
+            prime_factors_squarefree(0)
 
     def test_prime_cofactor_ends_trial_division(self):
         """A prime cofactor above the bound is certified at once: trial
@@ -72,6 +84,9 @@ print(prime_factors_squarefree(-M89) == [M89])
     def test_ramified_candidates(self):
         assert PureFieldInput(m=33).ramified_candidates() == [2, 3, 11]
         assert PureFieldInput(m=-70).ramified_candidates() == [2, 3, 5, 7]
+        for n in range(2, 101):
+            expected = sorted({2, *_primes_dividing(n)})
+            assert PureFieldInput(m=2, n=n).ramified_candidates() == expected, n
 
 
 class TestSquarefreeCertifiedOnce:
@@ -249,13 +264,38 @@ class TestEngineRoute:
             assert engine.status is not Status.UNDECIDED
 
 
+class TestGeneralDegreeOracle:
+    """For squarefree m, a prime p divides (Z_K : Z[m^(1/n)]) iff p | n and
+    m^p = m (mod p^2) (Jakhar-Khanduja-Sangwan, J. Number Theory 166 (2016);
+    Gassert, Albanian J. Math. 11 (2017)).  The criterion shares no code with
+    the polygon engine; it is checked on a seeded sample of n in 2..30 and
+    squarefree 2 <= |m| <= 150."""
+
+    def test_index_and_verdict_follow_the_criterion(self):
+        rng = random.Random(20261020)
+        ms = [m for m in range(-150, 151) if abs(m) >= 2 and is_squarefree_int(m)]
+        seen = {True: 0, False: 0}  # per-prime checks by whether p divides the index
+        for _ in range(400):
+            n, m = rng.randint(2, 30), rng.choice(ms)
+            f = IntPolynomial.pure(n, m)
+            index_free = True
+            for p in _primes_dividing(n):
+                divides = (m**p - m) % p**2 == 0
+                value, exact = ore_index(f, p)
+                assert exact, (n, m, p)
+                assert (value > 0) == divides, (n, m, p, value)
+                seen[divides] += 1
+                index_free = index_free and not divides
+            monogenic = classify_engine(m, n).status is Status.MONOGENIC_Z_ALPHA
+            assert monogenic == index_free, (n, m)
+        assert min(seen.values()) > 50, seen
+
+
 class TestConcurrentUse:
     def test_parallel_classification_matches_sequential(self):
         # all operations are pure; shared caches may race benignly but
         # results must be identical to a sequential run
         from concurrent.futures import ThreadPoolExecutor
-
-        from conftest import is_squarefree_int
 
         ms = [m for m in range(2, 120) if is_squarefree_int(m)][:60]
         sequential = [classify_engine(m).status for m in ms]
