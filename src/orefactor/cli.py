@@ -30,7 +30,7 @@ import sys
 
 from . import __version__
 from .errors import EngineError, NotRegular, NotSquarefree, PolyParseError
-from .ffield import FpPolynomial
+from .ffield import FpPolynomial, factor_mod_p
 from .intpoly import IntPolynomial
 from .monogenity import (
     DEFAULT_SQUAREFREE_BOUND,
@@ -298,7 +298,7 @@ def _cmd_factor(args) -> dict:
             else str(verdict.failing_phi),
         },
         "factor_mod_p": [
-            {"phi": str(r.phibar), "multiplicity": r.multiplicity} for r in reports
+            {"phi": str(phibar), "multiplicity": mult} for phibar, mult in factor_mod_p(f, p)
         ],
         "polygons": [_polygon_dict(r) for r in reports],
         "notes": notes,

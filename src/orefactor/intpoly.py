@@ -14,6 +14,7 @@ is the module-level INFINITY singleton (it compares above every int).
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._fparith import convolve, mulmod_p, power
@@ -21,22 +22,16 @@ from ._record import Record
 from .errors import NonMonicModulus, NonPrime
 
 
+@functools.total_ordering
 class _PInfinity:
-    """Valuation of zero: a single object larger than every integer."""
+    """Valuation of zero: a single object larger than every integer.  Its <=,
+    > and >= come from __lt__ by total_ordering and are slow, so hot code
+    tests `is INFINITY` instead (see _vp_poly)."""
 
     __slots__ = ()
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is INFINITY
-
-    def __gt__(self, other):
-        return other is not INFINITY
-
-    def __ge__(self, other):
-        return True
 
     def __add__(self, other):
         return INFINITY
@@ -322,8 +317,6 @@ def vp_poly(P: IntPolynomial, p: int):
 
 def _vp_poly(P: IntPolynomial, p: int):
     """vp_poly for a p already certified prime (no primality test)."""
-    if P.is_zero():
-        return INFINITY
     best = INFINITY
     for c in P.coeffs:
         if c == 0:
@@ -332,7 +325,7 @@ def _vp_poly(P: IntPolynomial, p: int):
         while c % p == 0:
             c //= p
             v += 1
-        if v < best:
+        if best is INFINITY or v < best:
             best = v
             if best == 0:
                 break

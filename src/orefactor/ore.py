@@ -93,6 +93,8 @@ class PrimeFactorization(Record):
 def _require_monic(f: IntPolynomial) -> None:
     if not f.is_monic():
         raise NonMonicModulus("f must be monic")
+    if f.degree < 1:
+        raise ValueError("f must have degree >= 1")
 
 
 def dedekind_test(f: IntPolynomial, p: int) -> DedekindVerdict:
@@ -136,11 +138,11 @@ def kummer_factor(f: IntPolynomial, p: int) -> PrimeFactorization:
 
 
 class _PhiReport(Record):
-    """Everything the engine learns about one irreducible factor phi of f mod p."""
+    """Everything the engine learns about one irreducible factor phi of f mod p,
+    read once from one phi-expansion of f; phi's multiplicity is factor_mod_p's."""
 
     __slots__ = _fields = (
         "phibar",
-        "multiplicity",
         "exact_power",
         "polygon",
         "residuals",
@@ -151,26 +153,22 @@ class _PhiReport(Record):
     def __init__(
         self,
         phibar: FpPolynomial,
-        multiplicity: int,  # of phibar in f mod p; 0 when phi was not read off f mod p
         exact_power: int,  # the power of phi dividing f over Z
         polygon: NewtonPolygon,  # of the digits expanded; its principal part is complete
         residuals: tuple,
         residual_factors: tuple,  # factor_ext of each residual, in side order
         index: int,
     ):
-        super().__init__(phibar, multiplicity, exact_power, polygon, residuals,
-                         residual_factors, index)
+        super().__init__(phibar, exact_power, polygon, residuals, residual_factors, index)
 
 
-def _phi_report(expansion, field: ResidueField, multiplicity: int = 0):
+def _phi_report(expansion, field: ResidueField):
     """Everything the engine learns about phi = expansion.phi from the
     expansion of f and F_phi, the field of phi mod p."""
-    p = field.p
-    poly = _polygon(expansion, p)
-    residuals = tuple([_residual(expansion, field, s) for s in poly.principal_sides])
+    poly = _polygon(expansion, field.p)
+    residuals = tuple([_residual(expansion, poly, field, s) for s in poly.principal_sides])
     return _PhiReport(
         phibar=field.modulus,
-        multiplicity=multiplicity,
         exact_power=poly.points[0][0],  # the index of the first nonzero term
         polygon=poly,
         residuals=residuals,
@@ -191,7 +189,7 @@ def _analyze(f: IntPolynomial, p: int, full: bool = False):
     for phibar, mult in factor_mod_p(f, p):
         lift = phibar.lift()
         expansion = _phi_digits(f, lift, None if full else mult + 1)
-        report = _phi_report(expansion, _field(p, phibar.coeffs, False), mult)
+        report = _phi_report(expansion, _field(p, phibar.coeffs, False))
         if report.exact_power >= 2:
             raise RepeatedFactor(
                 f"f is divisible by ({lift})^{report.exact_power} over Z; "

@@ -15,7 +15,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import NonMonicModulus, ZeroModP
 from .ffield import ExtPolynomial, FpPolynomial, ResidueField
-from .intpoly import IntPolynomial, _vp_poly, phi_expand
+from .intpoly import INFINITY, IntPolynomial, _vp_poly, phi_expand
 
 _CELL_WIDTH = 3  # characters per abscissa in render_polygon
 
@@ -174,24 +174,25 @@ def residual_polynomial(
     """Degree-d polynomial over F_phi attached to a principal side of the
     polygon of f with respect to phi and p; any other side is a ValueError."""
     expansion, field = _expand(f, phi, p)
-    if side not in _polygon(expansion, p).principal_sides:
+    polygon = _polygon(expansion, p)
+    if side not in polygon.principal_sides:
         raise ValueError(f"{side!r} is not a principal side of the polygon of f")
-    return _residual(expansion, field, side)
+    return _residual(expansion, polygon, field, side)
 
 
-def _residual(expansion, field: ResidueField, side: Side) -> ResidualPolynomial:
-    """The residual polynomial of side, read off the expansion of f.
+def _residual(expansion, polygon, field: ResidueField, side: Side) -> ResidualPolynomial:
+    """The residual polynomial of side, read off the expansion of f and its polygon.
 
-    Coefficient t_i comes from the expansion term at the i-th integer
-    point of the side: a term on the side, over the exact power of p, is
-    the element of F_phi with those digits; points above contribute 0.
+    t_i comes from the term at the i-th integer point (x, y) of the side: of
+    valuation y (its polygon point's ordinate) it gives the element of F_phi
+    with the digits of term / p^y; of more, or INFINITY (a zero term), 0.
     """
     p = field.p
-    terms = expansion.terms
+    valuations = dict(polygon.points)
     coeffs = []
     for idx, y in side.lattice_points():
-        a = terms[idx]  # idx <= the side's end, the index of a nonzero term
-        v = _vp_poly(a, p)
+        a = expansion.terms[idx]  # idx <= the side's end, the index of a nonzero term
+        v = valuations.get(idx, INFINITY)
         if v < y:  # impossible below the hull
             raise AssertionError("valuation point below its own hull")
         coeffs.append(field.from_digits([c // p**y for c in a.coeffs]) if v == y else 0)

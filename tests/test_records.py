@@ -58,7 +58,6 @@ SIGNATURES = {
     PrimeFactorization: [("p", REQUIRED), ("ideals", REQUIRED), ("index_valuation", REQUIRED)],
     _PhiReport: [
         ("phibar", REQUIRED),
-        ("multiplicity", REQUIRED),
         ("exact_power", REQUIRED),
         ("polygon", REQUIRED),
         ("residuals", REQUIRED),

@@ -17,6 +17,9 @@
 * The paper's own fields x^12 - m against prime_decomp at p = 2 and 3.
   They take about 0.4 s a case, so they carry the slow marker, which
   the default run deselects; run them with `pytest -m slow`.
+* Every NOT_MONOGENIC witness (p, f, P_f, N_f) that classify_engine
+  gives for x^n - m, n in 2..15 except 12, squarefree 2 <= m <= 59:
+  P_f against the residue degrees of prime_decomp, also under `slow`.
 
 sympy is in the `test` extra, and this module is skipped where it is not
 installed.
@@ -39,6 +42,8 @@ from orefactor import (  # noqa: E402
     FpPolynomial,
     IntPolynomial,
     NotRegular,
+    Status,
+    classify_engine,
     factor_mod_p,
     ore_factor,
     ore_index,
@@ -225,3 +230,41 @@ def test_pure_x12_matches_sympy_prime_decomp(m, p):
         pytest.skip(f"prime_decomp raised {type(exc).__name__}: {exc}")
     assert ours.ef_multiset() == sorted((P.e, P.f) for P in ideals), (m, p)
     assert ours.index_valuation == vp_int(index, p), (m, p)
+
+
+_WITNESS_ALARM_SECONDS = 2
+
+
+def _witness_cases():
+    """(n, m, witness) for every NOT_MONOGENIC witness (p, f, P_f, N_f) of
+    classify_engine(m, n), n in 2..15 except 12, squarefree 2 <= m <= 59."""
+    squarefree = [m for m in range(2, 60) if all(m % (q * q) for q in range(2, 8))]
+    cases = []
+    for n in [n for n in range(2, 16) if n != 12]:
+        for m in squarefree:
+            verdict = classify_engine(m, n)
+            if verdict.status is Status.NOT_MONOGENIC:
+                cases.extend(
+                    pytest.param(n, m, w, id=f"x^{n}-{m}-p{w[0]}") for w in verdict.witnesses
+                )
+    return cases
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("n, m, witness", _witness_cases())
+def test_general_n_witness_matches_sympy_prime_decomp(n, m, witness):
+    """sympy's prime_decomp of x^n - m has exactly P_f primes of residue
+    degree f above p, and P_f > N_f."""
+    p, fdeg, p_f, n_f = witness
+    assert p_f > n_f, (n, m, witness)
+    known = _round_two(IntPolynomial.pure(n, m).coeffs, _WITNESS_ALARM_SECONDS)
+    if isinstance(known, str):
+        pytest.skip(known)
+    T, ZK, dK, _ = known
+    try:
+        with _alarm(_WITNESS_ALARM_SECONDS):
+            ideals = prime_decomp(p, T=T, ZK=ZK, dK=dK)
+    except Exception as exc:
+        pytest.skip(f"prime_decomp raised {type(exc).__name__}: {exc}")
+    assert p_f == sum(P.f == fdeg for P in ideals), (n, m, witness)
