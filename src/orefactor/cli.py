@@ -219,6 +219,8 @@ def _polygon_dict(report) -> dict:
 def _irreducibility_screen(f: IntPolynomial) -> list[str]:
     """Rational-root and mod-q screens of a monic nonconstant f; warnings
     only, never a refusal."""
+    if f.degree == 1:
+        return []  # monic and linear, hence irreducible, though it has a root
     for r in _divisor_candidates(abs(f[0])) if f[0] else [0]:
         for root in (r, -r):
             if f(root) == 0:

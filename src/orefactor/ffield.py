@@ -35,8 +35,10 @@ Representation conventions:
   into one int, multiplies once and reduces by the rows x^(n+i) mod g.
 * ResidueFieldElem is the public value type of a single element.
 
-Factoring (factor_ext, factor_mod_p) is squarefree split, distinct-degree
-split, then Cantor-Zassenhaus equal-degree splitting: gcds with
+Factoring (factor_ext, factor_mod_p) reads the power y^v of the variable
+off its v low zero coefficients, so x^n - m modulo a prime dividing m
+needs no split.  The cofactor goes through the squarefree split, the
+distinct-degree split, then Cantor-Zassenhaus equal-degree splitting: gcds with
 a^((q^d-1)/2) - 1 for odd q, or with the trace a + a^2 + ... +
 a^(2^(dk-1)) for q = 2^k, over random trials a drawn from a fixed seed.
 The distinct-degree split exponentiates once per modulus g, to x^q mod
@@ -79,13 +81,13 @@ class ResidueField:
     __slots__ = ("p", "modulus", "degree", "order", "key")
 
     def __init__(self, p: int, modulus: FpPolynomial):
+        _require_prime(p)
         self._setup(p, modulus)
         if not modulus.is_irreducible():
             raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
 
     def _setup(self, p: int, modulus: FpPolynomial) -> None:
-        """Every check of __init__ but the irreducibility test."""
-        _require_prime(p)
+        """Every check of __init__ but the primality and irreducibility tests."""
         self.p = p
         self.modulus = modulus
         self.degree = modulus.degree
@@ -206,12 +208,15 @@ class ResidueField:
 def _field(p: int, coeffs: tuple, check: bool) -> ResidueField:
     """F_p[x]/(modulus with these coefficients); F_p itself for (0, 1).
     With check, the constructor's checks run first; either way the field
-    is the unchecked entry's."""
+    is the unchecked entry's.  p is tested for primality once, where F_p
+    is built: every other field first builds FpPolynomial(p, coeffs),
+    which goes through the cached F_p."""
     if check:
         ResidueField(p, FpPolynomial(p, coeffs))
         return _field(p, coeffs, False)
     field = ResidueField.__new__(ResidueField)
     if coeffs == (0, 1):  # x over F_p needs F_p, so F_p comes first
+        _require_prime(p)
         field._setup(p, FpPolynomial._make(field, coeffs))
     else:
         field._setup(p, FpPolynomial(p, coeffs))
@@ -616,8 +621,10 @@ def factor_ext(g):
         raise ValueError("factorization of the zero polynomial")
     if g.degree < 1:
         raise ValueError("factorization requires degree >= 1")
-    out = []
-    for part, mult in _squarefree_split(g.monic()):
+    g = g.monic()
+    v = next(i for i, c in enumerate(g.coeffs) if c)  # g = y^v * cofactor
+    out = [(g._new((0, 1)), v)] if v else []
+    for part, mult in _squarefree_split(g._new(g.coeffs[v:])):  # [] for g = y^v
         frobenius = _frobenius(part) if part.degree >= 2 else None
         for prod, d in _distinct_degree_split(part, frobenius):
             for irr in _split_equal_degree(prod, d, frobenius):

@@ -266,18 +266,9 @@ class IntPolynomial(_DensePolynomial):
         """Euclidean division by a monic divisor (exact over Z)."""
         if not other.is_monic():
             raise NonMonicModulus("division requires a monic divisor")
-        rem = list(self.coeffs)
-        d = other.degree
-        if len(rem) <= d:
-            return IntPolynomial([]), self
-        quot = [0] * (len(rem) - d)
-        for k in range(len(rem) - d - 1, -1, -1):
-            q = rem[k + d]
-            quot[k] = q
-            if q:
-                for j in range(d):
-                    rem[k + j] -= q * other.coeffs[j]
-        return IntPolynomial(quot), IntPolynomial(rem[:d])
+        rem, d = list(self.coeffs), other.degree
+        _divmod_monic(rem, other.coeffs)
+        return IntPolynomial(rem[d:]), IntPolynomial(rem[:d])
 
     def derivative(self) -> IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -296,6 +287,17 @@ class IntPolynomial(_DensePolynomial):
 
     def __repr__(self) -> str:
         return f"IntPolynomial('{self}')"
+
+
+def _divmod_monic(rem: list, div: tuple) -> None:
+    """The one monic division over Z, in place: afterwards rem[:d] is the
+    remainder of rem by div and rem[d:] the quotient, d = deg div."""
+    d = len(div) - 1
+    for k in range(len(rem) - d - 1, -1, -1):
+        q = rem[k + d]  # the quotient's x^k coefficient, left in place
+        if q:
+            for j in range(d):
+                rem[k + j] -= q * div[j]
 
 
 def vp_int(n: int, p: int):
@@ -366,12 +368,15 @@ def phi_expand(f: IntPolynomial, phi: IntPolynomial) -> PhiExpansion:
 def _phi_digits(f: IntPolynomial, phi: IntPolynomial, limit) -> PhiExpansion:
     """phi_expand for a monic phi of degree >= 1, stopped after the first
     `limit` digits (all of them for None).  A stopped expansion does not
-    recompose to f; its digits are those of the full one."""
+    recompose to f; its digits are those of the full one.  The quotient
+    chain runs on one int list: each _divmod_monic leaves the digit in
+    rest[:d] and the next quotient in rest[d:], d = deg phi."""
     terms = []
-    rest = f
-    while not rest.is_zero() and len(terms) != limit:
-        rest, digit = divmod(rest, phi)
-        terms.append(digit)
+    rest, d = list(f.coeffs), phi.degree
+    while rest and len(terms) != limit:
+        _divmod_monic(rest, phi.coeffs)
+        terms.append(IntPolynomial(rest[:d]))
+        del rest[:d]
     if not terms:
         terms.append(IntPolynomial([]))
     return PhiExpansion(phi=phi, terms=tuple(terms))

@@ -383,6 +383,14 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "reducible" in out
 
+    @pytest.mark.parametrize("f, p", [("x-3", "5"), ("x", "2")])
+    def test_linear_f_is_irreducible(self, capsys, f, p):
+        """A monic linear f has a rational root and is still irreducible."""
+        assert main(["factor", "--f", f, "--p", p, "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["notes"] == []
+        assert [i["e"] * i["f"] for i in results["factorization"]["ideals"]] == [1]
+
 
 class TestSizeLimit:
     """The CLI's size contract: degree (and n) up to D = 100 is answered,

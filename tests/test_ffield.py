@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import run_snippet, sylvester_resultant
+from conftest import is_squarefree_int, run_snippet, sylvester_resultant
 from orefactor import _fparith, ffield
 from orefactor._fparith import convolve, divmod_p, gcd_p, mulmod_p
 from orefactor.errors import NonMonicModulus, NonPrime, ReducibleModulus, ZeroModP
@@ -207,6 +207,17 @@ class TestResidueField:
             ResidueField(3, fp(5, 1, 0, 1))
         with pytest.raises(NonMonicModulus):
             ResidueField(3, fp(3, 1, 0, 2))  # 2x^2 + 1
+
+    def test_nonprime_refused_before_other_checks(self):
+        """The constructor and F_p's build test p; _setup does not, so a
+        composite p is still refused as NonPrime, ahead of the mismatch
+        of characteristics."""
+        with pytest.raises(NonPrime):
+            ResidueField(15, FpPolynomial(5, (0, 1)))
+        with pytest.raises(NonPrime):
+            FpPolynomial(4, (1, 1))
+        with pytest.raises(NonPrime):
+            ResidueField.get(9, FpPolynomial(9, (1, 0, 1)))
 
     def test_order_and_elements(self, F4, F9):
         assert F4.order == 4 and F9.order == 9
@@ -623,6 +634,41 @@ class TestFactorExtExhaustive:
                 repeated += any(mult > 1 for _, mult in factors)
                 p_divisible += any(mult % field.p == 0 for _, mult in factors)
         assert (checked, repeated, p_divisible) == (1159, 174, 77)
+
+
+class TestPowerOfTheVariable:
+    """factor_ext reads the factor y^v off the v low zero coefficients and
+    splits only the cofactor."""
+
+    def test_pure_twelfth_at_primes_dividing_m(self):
+        """x^12 - m is Eisenstein at every p | m, so it is x^12 mod p."""
+        checked = 0
+        for m in range(2, 2001):
+            if not is_squarefree_int(m):
+                continue
+            primes = [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]
+            for signed, p in itertools.product((m, -m), primes):
+                assert factor_mod_p(IntPolynomial.pure(12, signed), p) == [(fp(p, 0, 1), 12)]
+                checked += 1
+        assert checked == 2 * 2519  # prime divisors of the 1,214 squarefree m
+
+    def test_power_times_small_cofactor(self, F4, F9):
+        for field in (ResidueField.prime_field(2), ResidueField.prime_field(3), F4, F9):
+            monic, irreducible = _sieved_irreducibles(field, 2)
+            sieved = set().union(*irreducible.values())
+            one, y = ExtPolynomial._make(field, (1,)), ExtPolynomial.y(field)
+            for g in [one] + [g for g in monic[1] + monic[2] if g.coeffs[0]]:
+                for v in range(1, 14):
+                    h = g._new((0,) * v + g.coeffs)  # y^v * g
+                    factors = factor_ext(h)
+                    assert dict(factors)[y] == v, h
+                    assert len({irr for irr, _ in factors}) == len(factors), h
+                    assert all(irr in sieved for irr, _ in factors), h
+                    product = one
+                    for irr, mult in factors:
+                        for _ in range(mult):
+                            product = product * irr
+                    assert product == h, h
 
 
 def _random_poly(rng, field, degree, monic):

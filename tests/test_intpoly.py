@@ -9,7 +9,9 @@ from orefactor.errors import NonMonicModulus, NonPrime
 from orefactor.intpoly import (
     INFINITY,
     IntPolynomial,
+    PhiExpansion,
     _is_strong_lucas_prp,
+    _phi_digits,
     discriminant,
     is_prime,
     phi_expand,
@@ -206,6 +208,31 @@ class TestPhiExpansion:
             phi_expand(poly(1, 1), poly(1, 2))
         with pytest.raises(NonMonicModulus):
             phi_expand(poly(1, 1), poly(1))
+
+    def test_digits_match_the_divmod_chain(self):
+        """_phi_digits, which runs the quotient chain in place on one list,
+        gives the digits of a chain of separate schoolbook divisions."""
+
+        def divmod_monic(f, phi):
+            rem, d = list(f.coeffs), phi.degree
+            quot = [0] * max(len(rem) - d, 0)
+            for k in range(len(rem) - d - 1, -1, -1):
+                quot[k] = rem[k + d]
+                for j in range(d + 1):
+                    rem[k + j] -= quot[k] * phi.coeffs[j]
+            return IntPolynomial(quot), IntPolynomial(rem[:d])
+
+        rng = random.Random(2006)
+        for _ in range(600):
+            f = IntPolynomial([rng.randint(-60, 60) for _ in range(rng.randint(0, 16))])
+            phi = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1])
+            limit = rng.choice([None, 1, 2, 3, 4, 5, 6])
+            terms, rest = [], f
+            while not rest.is_zero() and len(terms) != limit:
+                rest, digit = divmod_monic(rest, phi)
+                terms.append(digit)
+            expected = PhiExpansion(phi, tuple(terms) or (IntPolynomial([]),))
+            assert _phi_digits(f, phi, limit) == expected, (f, phi, limit)
 
     @given(
         st.lists(st.integers(-100, 100), min_size=0, max_size=13),
