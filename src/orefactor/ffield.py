@@ -6,13 +6,16 @@ Representation conventions:
   [0, q): the element c0 + c1*j + ... + c_{k-1}*j^(k-1), with j the image
   of x, is the int c0 + c1*p + ... + c_{k-1}*p^(k-1).  Ordering elements
   by that int gives 0 < 1 < ... < j < j + 1 < ...  F_p is the degree-one
-  case (modulus x), where the int is the residue itself.
+  case (modulus x), where the int is the residue itself.  The range is
+  enforced: ResidueFieldElem refuses any other int with ValueError.
 * ResidueField owns the element operations on those ints (add, sub,
   neg, mul, inverse, pow).  add and sub work digit by digit; in F_p the
   one digit is the residue itself.  mul, inverse and pow are int
   arithmetic mod p in F_p.  In F_{p^k}, mul reduces the digit product
   through the modulus, pow is power of the digits through _mulmod of the
   modulus, and the inverse is one extended Euclid over F_p against it.
+  add with a 0 operand, sub of 0 and, in F_{p^k}, mul with a 0 or 1
+  operand return at once, exact as element ints lie in [0, q).
   The modulus must be monic, nonconstant and irreducible.  Fields are
   cached by _field(p, coeffs, check).  A factor of factor_mod_p, proved
   irreducible by its splitting, comes with check False and is never
@@ -66,9 +69,10 @@ _CACHE_LIMIT = 64
 class ResidueField:
     """F_p[x]/(modulus) with monic irreducible modulus, validated eagerly.
 
-    Elements are ints in [0, order); the methods add, sub, neg, mul,
-    inverse and pow act on them directly.  pow(a, e) with e < 0 is
-    pow(inverse(a), -e), in F_p and F_{p^k} alike.
+    Elements are ints in [0, order), enforced by ResidueFieldElem; the
+    methods add, sub, neg, mul, inverse and pow act on them directly,
+    and add, sub and mul return at once on 0 and 1 operands.  pow(a, e)
+    with e < 0 is pow(inverse(a), -e), in F_p and F_{p^k} alike.
 
     >>> F9 = ResidueField.get(3, FpPolynomial(3, (1, 0, 1)))   # x^2 + 1
     >>> a = F9.gen() + F9.one()
@@ -81,7 +85,8 @@ class ResidueField:
     __slots__ = ("p", "modulus", "degree", "order", "key")
 
     def __init__(self, p: int, modulus: FpPolynomial):
-        _require_prime(p)
+        if modulus.p != p:  # else p was certified where modulus's F_p was built
+            _require_prime(p)
         self._setup(p, modulus)
         if not modulus.is_irreducible():
             raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
@@ -113,14 +118,20 @@ class ResidueField:
     # -- element operations on ints: mul, pow and inverse use int arithmetic in F_p --
 
     def add(self, a: int, b: int) -> int:
+        if not a or not b:
+            return a or b
         return self.from_digits([x + y for x, y in zip(self.digits(a), self.digits(b))])
 
     def sub(self, a: int, b: int) -> int:
+        if not b:
+            return a
         return self.from_digits([x - y for x, y in zip(self.digits(a), self.digits(b))])
 
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return a * b % self.p
+        if a <= 1 or b <= 1:  # 0 or 1, the ints of the elements 0 and 1
+            return a * b
         k, mod = self.degree, self.modulus.coeffs
         prod = convolve(self.digits(a), self.digits(b))
         for i in range(2 * k - 2, k - 1, -1):  # j^i = -(modulus - j^k) * j^(i-k)
@@ -224,11 +235,14 @@ def _field(p: int, coeffs: tuple, check: bool) -> ResidueField:
 
 
 class ResidueFieldElem:
-    """Element of a ResidueField: the field and the element's int."""
+    """Element of a ResidueField: the field and the element's int in
+    [0, order); any other int is a ValueError."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field: ResidueField, value: int):
+        if not 0 <= value < field.order:
+            raise ValueError(f"element int {value} is outside [0, {field.order})")
         self.field = field
         self.value = value
 

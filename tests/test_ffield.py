@@ -209,9 +209,9 @@ class TestResidueField:
             ResidueField(3, fp(3, 1, 0, 2))  # 2x^2 + 1
 
     def test_nonprime_refused_before_other_checks(self):
-        """The constructor and F_p's build test p; _setup does not, so a
-        composite p is still refused as NonPrime, ahead of the mismatch
-        of characteristics."""
+        """F_p's build tests p, and the constructor tests it again only for
+        a modulus over another characteristic, so a composite p is still
+        refused as NonPrime, ahead of the mismatch of characteristics."""
         with pytest.raises(NonPrime):
             ResidueField(15, FpPolynomial(5, (0, 1)))
         with pytest.raises(NonPrime):
@@ -277,6 +277,44 @@ class TestResidueField:
             assert repr(field.from_int(3)) == "<3 in ResidueField(F_5[x]/(x))>"
         else:
             assert repr(field.gen() + field.one()) == "<j + 1 in ResidueField(F_3[x]/(x^2 + 1))>"
+
+    def test_element_int_outside_the_field_refused(self, F9):
+        """An element int outside [0, q) is refused, not kept beside the
+        reduced int of the element it prints as."""
+        for value in (100, 9, -1, -9):
+            with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+                ResidueFieldElem(F9, value)
+        with pytest.raises(ValueError, match="outside"):
+            ExtPolynomial(F9, [ResidueFieldElem(F9, 100), F9.one()])
+        with pytest.raises(ValueError, match="outside"):
+            ResidueFieldElem(ResidueField.prime_field(5), 5)
+        assert ResidueFieldElem(F9, 8).value == 8
+
+    @pytest.mark.parametrize("p, modulus", [
+        (2, (1, 1, 1)),  # F4
+        (2, (1, 1, 0, 1)),  # F8
+        (3, (1, 0, 1)),  # F9
+        (5, (2, 1, 1)),  # F25: x^2 + x + 2
+    ], ids=["F4", "F8", "F9", "F25"])
+    def test_element_operations_exhaustive(self, p, modulus):
+        """add, sub, mul and neg on every pair of element ints, the 0 and 1
+        operands included, against FpPolynomial arithmetic on the digit
+        polynomials reduced mod the modulus."""
+        field = ResidueField.get(p, FpPolynomial(p, modulus))
+        mod, k = FpPolynomial(p, modulus), len(modulus) - 1
+
+        def poly(v):
+            return FpPolynomial(p, [v // p**i % p for i in range(k)])
+
+        def value(f):
+            return sum(c * p**i for i, c in enumerate((f % mod).coeffs))
+
+        for a in range(field.order):
+            assert field.neg(a) == value(-poly(a))
+            for b in range(field.order):
+                assert field.add(a, b) == value(poly(a) + poly(b)), (a, b)
+                assert field.sub(a, b) == value(poly(a) - poly(b)), (a, b)
+                assert field.mul(a, b) == value(poly(a) * poly(b)), (a, b)
 
     def test_prime_field_shortcut(self):
         F5 = ResidueField.prime_field(5)

@@ -533,10 +533,8 @@ class TestTranslationIdentity:
         assert kinds["answered, v > 0"] > 300 and kinds["one bound"] > 20, kinds
 
 
-def test_primality_certified_once_per_prime(monkeypatch):
-    """ore_factor tests p for primality once, where it builds F_p.  Each
-    F_phi is built from an FpPolynomial over the cached F_p, so it does
-    not test p again, and no valuation does either."""
+def _count_is_prime(monkeypatch) -> Counter:
+    """Count is_prime calls per argument, from an empty field cache."""
     calls = Counter()
     is_prime = intpoly.is_prime
 
@@ -546,6 +544,14 @@ def test_primality_certified_once_per_prime(monkeypatch):
 
     patch_everywhere(monkeypatch, is_prime, counted)
     ffield._field.cache_clear()
+    return calls
+
+
+def test_primality_certified_once_per_prime(monkeypatch):
+    """ore_factor tests p for primality once, where it builds F_p.  Each
+    F_phi is built from an FpPolynomial over the cached F_p, so it does
+    not test p again, and no valuation does either."""
+    calls = _count_is_prime(monkeypatch)
     ffield._factor_reduced.cache_clear()
     p = 10007
     # x^2 (x - 1)(x - 2) + p^2 (x + 1): phi = x has a side of degree 2
@@ -554,6 +560,19 @@ def test_primality_certified_once_per_prime(monkeypatch):
     assert sum(i.e * i.f for i in report.ideals) == 4
     fields = {(0, 1)} | {phibar.coeffs for phibar, _ in factor_mod_p(f, p)}  # F_p = F_p[x]/(x)
     assert len(fields) == 3 and ffield._field.cache_info().currsize == 3
+    assert calls[p] == 1
+
+
+def test_caller_modulus_certifies_p_once(monkeypatch):
+    """A caller's modulus over F_p does not test p again: neither
+    ResidueField.get nor the constructor repeats the test that building
+    the FpPolynomial made through the cached F_p."""
+    calls = _count_is_prime(monkeypatch)
+    p = 10007
+    phi = FpPolynomial(p, (1, 0, 1))  # x^2 + 1, irreducible as p = 3 (mod 4)
+    assert calls[p] == 1
+    assert ResidueField.get(p, phi).order == p * p
+    assert ResidueField(p, phi).order == p * p
     assert calls[p] == 1
 
 
