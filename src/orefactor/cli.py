@@ -29,8 +29,8 @@ import re
 import sys
 
 from . import __version__
-from .errors import EngineError, NotRegular, NotSquarefree, PolyParseError
-from .ffield import FpPolynomial, factor_mod_p
+from .errors import EngineError, ExcludedM, NotRegular, NotSquarefree, PolyParseError
+from .ffield import ExtPolynomial, FpPolynomial, ResidueField, factor_mod_p
 from .intpoly import IntPolynomial
 from .monogenity import (
     DEFAULT_SQUAREFREE_BOUND,
@@ -45,6 +45,7 @@ ENV_SQUAREFREE_BOUND = "OREFACTOR_SQUAREFREE_BOUND"
 _MAX_EXPONENT = 100_000
 _MAX_DEGREE = 100  # the paper needs 12
 _DIVISOR_SCAN_CAP = 10_000  # rational-root screen: divisors tried up to this
+_ROOT_SCREEN_PRIME = 2**61 - 1  # rational-root screen: f(r) is tested mod this first
 
 
 class NonIntegerCoefficient(PolyParseError):
@@ -221,9 +222,10 @@ def _irreducibility_screen(f: IntPolynomial) -> list[str]:
     only, never a refusal."""
     if f.degree == 1:
         return []  # monic and linear, hence irreducible, though it has a root
+    f_mod = ExtPolynomial.from_ints(ResidueField.prime_field(_ROOT_SCREEN_PRIME), f.coeffs)
     for r in _divisor_candidates(abs(f[0])) if f[0] else [0]:
         for root in (r, -r):
-            if f(root) == 0:
+            if f_mod.evaluate(f_mod.field.from_int(root)).is_zero() and f(root) == 0:
                 return [
                     f"warning: f({root}) = 0, so f is reducible; results assume irreducibility"
                 ]
@@ -350,11 +352,11 @@ def _cmd_sweep(args) -> dict:
     bound = _squarefree_bound()
     rows = []
     for m in range(lo, hi + 1):
-        if m in (-1, 0, 1) or args.mod4 not in (None, m % 4) or args.mod9 not in (None, m % 9):
+        if args.mod4 not in (None, m % 4) or args.mod9 not in (None, m % 9):
             continue
         try:
             inp = PureFieldInput(m=m, squarefree_bound=bound)
-        except NotSquarefree:
+        except (ExcludedM, NotSquarefree):
             continue
         theorem, engine, agree = _classify_routes(inp, args.mode)
         row = dict.fromkeys(_CSV_COLUMNS)

@@ -12,8 +12,8 @@ Representation conventions:
   neg, mul, inverse, pow).  add and sub work digit by digit; in F_p the
   one digit is the residue itself.  mul, inverse and pow are int
   arithmetic mod p in F_p.  In F_{p^k}, mul reduces the digit product
-  through the modulus, pow is power of the digits through _mulmod of the
-  modulus, and the inverse is one extended Euclid over F_p against it.
+  by intpoly._divmod_monic, pow is power of the digits through _mulmod
+  of the modulus, and the inverse is one extended Euclid over F_p against it.
   add with a 0 operand, sub of 0 and, in F_{p^k}, mul with a 0 or 1
   operand return at once, exact as element ints lie in [0, q).
   The modulus must be monic, nonconstant and irreducible.  Fields are
@@ -60,7 +60,9 @@ import random
 
 from ._fparith import convolve, divmod_p, gcd_p, mulmod_p, power
 from .errors import NonMonicModulus, ReducibleModulus, ZeroModP
-from .intpoly import IntPolynomial, _DensePolynomial, _format_poly, _require_prime, _trimmed
+from .intpoly import (
+    IntPolynomial, _DensePolynomial, _divmod_monic, _format_poly, _require_prime, _trimmed,
+)
 
 
 _CACHE_LIMIT = 64
@@ -87,23 +89,22 @@ class ResidueField:
     def __init__(self, p: int, modulus: FpPolynomial):
         if modulus.p != p:  # else p was certified where modulus's F_p was built
             _require_prime(p)
-        self._setup(p, modulus)
-        if not modulus.is_irreducible():
-            raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
-
-    def _setup(self, p: int, modulus: FpPolynomial) -> None:
-        """Every check of __init__ but the primality and irreducibility tests."""
-        self.p = p
-        self.modulus = modulus
-        self.degree = modulus.degree
-        self.order = p**modulus.degree
-        self.key = (p, modulus.coeffs)
-        if modulus.p != p:
             raise ValueError("modulus characteristic differs from p")
         if not modulus.is_monic():
             raise NonMonicModulus("residue-field modulus must be monic")
         if modulus.degree < 1:
             raise ReducibleModulus(f"{modulus} is a constant, not a residue-field modulus")
+        if not modulus.is_irreducible():
+            raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
+        self._setup(p, modulus)
+
+    def _setup(self, p: int, modulus: FpPolynomial) -> None:
+        """The fields of F_p[x]/(modulus), for a modulus already known valid."""
+        self.p = p
+        self.modulus = modulus
+        self.degree = modulus.degree
+        self.order = p**modulus.degree
+        self.key = (p, modulus.coeffs)
 
     @staticmethod
     def get(p: int, modulus: FpPolynomial) -> ResidueField:
@@ -132,14 +133,9 @@ class ResidueField:
             return a * b % self.p
         if a <= 1 or b <= 1:  # 0 or 1, the ints of the elements 0 and 1
             return a * b
-        k, mod = self.degree, self.modulus.coeffs
         prod = convolve(self.digits(a), self.digits(b))
-        for i in range(2 * k - 2, k - 1, -1):  # j^i = -(modulus - j^k) * j^(i-k)
-            c = prod[i]
-            if c:
-                for t in range(k):
-                    prod[i - k + t] -= c * mod[t]
-        return self.from_digits(prod[:k])
+        _divmod_monic(prod, self.modulus.coeffs)  # the remainder is prod[:degree]
+        return self.from_digits(prod[:self.degree])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -218,8 +214,8 @@ class ResidueField:
 @functools.lru_cache(maxsize=_CACHE_LIMIT)
 def _field(p: int, coeffs: tuple, check: bool) -> ResidueField:
     """F_p[x]/(modulus with these coefficients); F_p itself for (0, 1).
-    With check, the constructor's checks run first; either way the field
-    is the unchecked entry's.  p is tested for primality once, where F_p
+    With check, the constructor's checks run first; the unchecked entry,
+    returned either way, tests nothing but p.  p is tested once, where F_p
     is built: every other field first builds FpPolynomial(p, coeffs),
     which goes through the cached F_p."""
     if check:

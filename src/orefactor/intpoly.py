@@ -291,7 +291,8 @@ class IntPolynomial(_DensePolynomial):
 
 def _divmod_monic(rem: list, div: tuple) -> None:
     """The one monic division over Z, in place: afterwards rem[:d] is the
-    remainder of rem by div and rem[d:] the quotient, d = deg div."""
+    remainder of rem by div and rem[d:] the quotient, d = deg div.  Callers:
+    IntPolynomial.__divmod__, _phi_digits and ResidueField.mul (F_{p^k} digits)."""
     d = len(div) - 1
     for k in range(len(rem) - d - 1, -1, -1):
         q = rem[k + d]  # the quotient's x^k coefficient, left in place

@@ -36,7 +36,7 @@ from .ffield import (
     ExtPolynomial, FpPolynomial, ResidueField, _field, factor_ext, factor_mod_p,
 )
 from .intpoly import IntPolynomial, _phi_digits, _vp_poly
-from .polygon import NewtonPolygon, _polygon, _principal_lattice_count, _residual
+from .polygon import NewtonPolygon, _phi_index, _polygon, _residual
 
 
 class DedekindVerdict(Record):
@@ -173,7 +173,7 @@ def _phi_report(expansion, field: ResidueField):
         polygon=poly,
         residuals=residuals,
         residual_factors=tuple([factor_ext(r.poly) for r in residuals]),
-        index=expansion.phi.degree * _principal_lattice_count(poly.principal_sides),
+        index=_phi_index(poly),
     )
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import NonMonicModulus, ZeroModP
 from .ffield import ExtPolynomial, FpPolynomial, ResidueField
-from .intpoly import INFINITY, IntPolynomial, _vp_poly, phi_expand
+from .intpoly import INFINITY, IntPolynomial, _phi_digits, _vp_poly
 
 _CELL_WIDTH = 3  # characters per abscissa in render_polygon
 
@@ -123,12 +123,12 @@ def _expand(f: IntPolynomial, phi: IntPolynomial, p: int):
     """The full phi-expansion of f and the field F_phi, for a caller's phi.
 
     A phi that is not monic is refused here, a constant or reducible one
-    by ResidueField.get.
+    by ResidueField.get; so the expansion needs none of phi_expand's checks.
     """
     if not phi.is_monic():
         raise NonMonicModulus("phi must be monic")
     field = ResidueField.get(p, FpPolynomial(p, phi.coeffs))
-    return phi_expand(f, phi), field
+    return _phi_digits(f, phi, None), field
 
 
 def _polygon(expansion, p: int) -> NewtonPolygon:
@@ -213,15 +213,15 @@ def _lattice_columns(principal_sides):
             yield x, (y0 * length - height * (x - x0)) // length
 
 
-def _principal_lattice_count(principal_sides) -> int:
-    """Lattice points (x>=1, y>=1) on or below the principal polygon."""
-    return sum([h for _, h in _lattice_columns(principal_sides)])
+def _phi_index(polygon: NewtonPolygon) -> int:
+    """The theorem of the index's term for polygon's phi: deg(phi) times the
+    lattice points (x>=1, y>=1) on or below the principal polygon."""
+    return polygon.phi.degree * sum([h for _, h in _lattice_columns(polygon.principal_sides)])
 
 
 def phi_index(f: IntPolynomial, phi: IntPolynomial, p: int) -> int:
     """deg(phi) times the lattice count under the principal polygon."""
-    poly = build_polygon(f, phi, p)
-    return phi.degree * _principal_lattice_count(poly.principal_sides)
+    return _phi_index(build_polygon(f, phi, p))
 
 
 def render_polygon(polygon: NewtonPolygon) -> str:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import FUZZ_SEED, is_squarefree_int, run_snippet
 from orefactor.cli import (
     NonIntegerCoefficient,
+    _irreducibility_screen,
     main,
     parse_poly,
     to_canonical_json,
@@ -255,7 +256,7 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         ms = [int(row["m"]) for row in doc["results"]["rows"]]
         assert ms == sorted(ms)
-        assert -10 in ms and 10 in ms and 0 not in ms and 1 not in ms
+        assert -10 in ms and 10 in ms and 0 not in ms and 1 not in ms and -1 not in ms
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -382,6 +383,20 @@ class TestCliCommands:
         assert main(["factor", "--f", "x^2-4*x+3", "--p", "2"]) == 0
         out = capsys.readouterr().out
         assert "reducible" in out
+
+    def test_root_screen_evaluates_exactly_only_where_f_vanishes_mod_q(self, monkeypatch):
+        """x^100 + 10^4000 has no integer root among its 192 candidates +-r:
+        f is evaluated exactly at none of them.  A reducible f still warns."""
+        calls = []
+        exact = IntPolynomial.__call__
+        monkeypatch.setattr(IntPolynomial, "__call__", lambda f, x: calls.append(x) or exact(f, x))
+        notes = _irreducibility_screen(IntPolynomial([10**4000] + [0] * 99 + [1]))
+        assert calls == []
+        assert notes == [
+            "note: irreducibility of f over Q was screened but not verified; results assume it"
+        ]
+        notes = _irreducibility_screen(parse_poly("x^2-4*x+3"))
+        assert calls == [1] and notes[0].startswith("warning: f(1) = 0")
 
     @pytest.mark.parametrize("f, p", [("x-3", "5"), ("x", "2")])
     def test_linear_f_is_irreducible(self, capsys, f, p):

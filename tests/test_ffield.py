@@ -295,7 +295,11 @@ class TestResidueField:
         (2, (1, 1, 0, 1)),  # F8
         (3, (1, 0, 1)),  # F9
         (5, (2, 1, 1)),  # F25: x^2 + x + 2
-    ], ids=["F4", "F8", "F9", "F25"])
+        (2, (1, 1, 0, 0, 1)),  # F16: x^4 + x + 1
+        (2, (1, 0, 1, 0, 0, 1)),  # F32: x^5 + x^2 + 1
+        (2, (1, 1, 0, 0, 0, 0, 1)),  # F64: x^6 + x + 1
+        (3, (2, 1, 0, 0, 1)),  # F81: x^4 + x + 2
+    ], ids=["F4", "F8", "F9", "F25", "F16", "F32", "F64", "F81"])
     def test_element_operations_exhaustive(self, p, modulus):
         """add, sub, mul and neg on every pair of element ints, the 0 and 1
         operands included, against FpPolynomial arithmetic on the digit

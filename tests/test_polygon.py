@@ -12,7 +12,7 @@ from orefactor.intpoly import IntPolynomial, phi_expand
 from orefactor.polygon import (
     NewtonPolygon,
     Side,
-    _principal_lattice_count,
+    _phi_index,
     build_polygon,
     phi_index,
     render_polygon,
@@ -268,9 +268,9 @@ class TestIntegerPolygon:
         for phibar, _ in factor_mod_p(f, p):
             poly = build_polygon(f, phibar.lift(), p)
             assert poly.principal_sides == tuple(s for s in poly.sides if s.slope < 0)
-            assert _principal_lattice_count(
+            assert _phi_index(poly) == phibar.degree * brute_force_lattice_count(
                 poly.principal_sides
-            ) == brute_force_lattice_count(poly.principal_sides)
+            )
 
 
 class TestRender:
