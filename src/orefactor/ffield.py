@@ -40,16 +40,16 @@ Representation conventions:
 
 Factoring (factor_ext, factor_mod_p) reads the power y^v of the variable
 off its v low zero coefficients, so x^n - m modulo a prime dividing m
-needs no split.  The cofactor goes through the squarefree split, the
-distinct-degree split, then Cantor-Zassenhaus equal-degree splitting: gcds with
-a^((q^d-1)/2) - 1 for odd q, or with the trace a + a^2 + ... +
-a^(2^(dk-1)) for q = 2^k, over random trials a drawn from a fixed seed.
-The distinct-degree split exponentiates once per modulus g, to x^q mod
-g; Frobenius is linear, so every further w^(q^i) mod g, there and in the
-equal-degree split, is a matrix-vector product (_frobenius).  The split's
-lazy first block is the irreducibility test.  Time and memory are
-polynomial in log q.  Factor lists are sorted by (degree, coefficient
-ints), so every run is identical.
+needs no split.  The cofactor goes through the squarefree split, which
+stops after one gcd when the cofactor is squarefree, the distinct-degree
+split, then Cantor-Zassenhaus equal-degree splitting: gcds with
+a^((q^d-1)/2) - 1 for odd q, or with the trace a + ... + a^(2^(dk-1)) for
+q = 2^k, over random trials a drawn from a fixed seed.  The distinct-degree
+split exponentiates once per modulus g, to x^q mod g; Frobenius is linear,
+so every further w^(q^i) mod g, there and in the equal-degree split, is a
+matrix-vector product (_frobenius).  The split's lazy first block is the
+irreducibility test.  Time and memory are polynomial in log q.  Factor
+lists are sorted by (degree, coefficient ints), so every run is identical.
 """
 
 from __future__ import annotations
@@ -545,8 +545,10 @@ def _p_th_root(g):
 
 def _squarefree_split(g):
     """Monic g of degree >= 1 -> list of (monic squarefree part, multiplicity)."""
-    out = []
     c = g.gcd(g.derivative())
+    if c.degree == 0:  # squarefree, or the constant cofactor of y^v
+        return [(g, 1)] if g.degree > 0 else []
+    out = []
     w = g // c
     i = 1
     while w.degree > 0:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import operator
@@ -493,12 +494,28 @@ class TestFactorExt:
         assert g.derivative().is_zero()
         assert factor_ext(g) == [(base, 3)]
 
+    def test_squarefree_split_returns_a_squarefree_input_itself(self, F4, F9):
+        """A squarefree g leaves the split after its first gcd, as the same
+        object; the constant cofactor that factor_ext passes for g = y^v
+        gives no part.  Over F_q there are q^d - q^(d-1) squarefree monic
+        polynomials of degree d >= 2, and q of degree 1."""
+        for field in (ResidueField.prime_field(2), ResidueField.prime_field(3), F4, F9):
+            q = field.order
+            for d in (1, 2, 3):
+                squarefree = [g for g in _monic_polys(field, d) if is_squarefree_ext(g)]
+                assert len(squarefree) == (q if d == 1 else q**d - q ** (d - 1))
+                for g in squarefree:
+                    [(part, mult)] = ffield._squarefree_split(g)
+                    assert part is g and mult == 1
+            assert ffield._squarefree_split(ExtPolynomial.from_ints(field, (1,))) == []
+
     def test_squarefree_agrees_with_multiplicities(self, F4, F8, F9):
         rng = random.Random(23)
+        F2 = ResidueField.prime_field(2)
         F25 = ResidueField.get(5, fp(5, 2, 0, 1))  # x^2 + 2
         F27 = ResidueField.get(3, fp(3, 1, 2, 0, 1))  # x^3 + 2x + 1
-        fields = (ResidueField.prime_field(2), ResidueField.prime_field(5), F4, F9, F8, F25, F27)
-        for field in fields:
+        inputs = []
+        for field in (F2, ResidueField.prime_field(5), F4, F9, F8, F25, F27):
             for _ in range(40):
                 deg = rng.randint(1, 7)
                 coeffs = [
@@ -507,17 +524,35 @@ class TestFactorExt:
                     )
                     for _ in range(deg + 1)
                 ]
-                g = ExtPolynomial(field, coeffs)
-                if g.degree < 1:
-                    continue
-                factors = factor_ext(g)
-                product = ExtPolynomial(field, [g.leading()])
-                for h, mult in factors:
-                    assert h.is_monic()
-                    for _ in range(mult):
-                        product = product * h
-                assert product == g
-                assert is_squarefree_ext(g) == all(m == 1 for _, m in factors)
+                inputs.append(ExtPolynomial(field, coeffs))
+        # p-th powers and h1 * h2^2 * h3^p keep Yun's loop and its p-th root covered
+        for field in (F2, F4, F9):
+            for _ in range(15):
+                h1, h2, h3 = (
+                    ExtPolynomial._make(field, [rng.randrange(field.order) for _ in range(d)] + [1])
+                    for d in (rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2))
+                )
+                inputs += [_power(h1, field.p), h1 * _power(h2, 2) * _power(h3, field.p)]
+        for g in inputs:
+            if g.degree < 1:
+                continue
+            factors = factor_ext(g)
+            product = ExtPolynomial(g.field, [g.leading()])
+            for h, mult in factors:
+                assert h.is_monic()
+                for _ in range(mult):
+                    product = product * h
+            assert product == g
+            assert is_squarefree_ext(g) == all(m == 1 for _, m in factors)
+            if g.is_monic():
+                parts = ffield._squarefree_split(g)
+                assert all(is_squarefree_ext(h) for h, _ in parts)
+                assert len({m for _, m in parts}) == len(parts)
+                assert functools.reduce(operator.mul, (_power(h, m) for h, m in parts)) == g
+
+
+def _power(h, e):
+    return functools.reduce(operator.mul, [h] * e)
 
 
 def _monic_irreducibles(field, d, rng, tries=60):
