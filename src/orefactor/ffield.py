@@ -40,16 +40,16 @@ Representation conventions:
 
 Factoring (factor_ext, factor_mod_p) reads the power y^v of the variable
 off its v low zero coefficients, so x^n - m modulo a prime dividing m
-needs no split.  The cofactor goes through the squarefree split, which
-stops after one gcd when the cofactor is squarefree, the distinct-degree
-split, then Cantor-Zassenhaus equal-degree splitting: gcds with
+needs no split.  The cofactor goes through the distinct-degree split,
+which also peels repeated factors by gcd and so yields each block with
+its multiplicity, then Cantor-Zassenhaus equal-degree splitting: gcds with
 a^((q^d-1)/2) - 1 for odd q, or with the trace a + ... + a^(2^(dk-1)) for
-q = 2^k, over random trials a drawn from a fixed seed.  The distinct-degree
-split exponentiates once per modulus g, to x^q mod g; Frobenius is linear,
-so every further w^(q^i) mod g, there and in the equal-degree split, is a
-matrix-vector product (_frobenius).  The split's lazy first block is the
-irreducibility test.  Time and memory are polynomial in log q.  Factor
-lists are sorted by (degree, coefficient ints), so every run is identical.
+q = 2^k, over random trials a drawn from a fixed seed.  Factoring
+exponentiates once per input, to x^q mod g; Frobenius is linear, so
+every further w^(q^i) mod g, in either split, is a matrix-vector product
+(_frobenius).  The split's lazy first block is the irreducibility test.
+Time and memory are polynomial in log q.  Factor lists are sorted by
+(degree, coefficient ints), so every run is identical.
 """
 
 from __future__ import annotations
@@ -420,11 +420,11 @@ class _FieldPolynomial(_DensePolynomial):
         return self._new(power(_mulmod(modulus), (self % modulus).coeffs, e))
 
     def is_irreducible(self) -> bool:
-        """True iff the distinct-degree split's first block is all of self.monic()."""
+        """True iff the distinct-degree split's first block is self.monic() to the power 1."""
         if self.degree < 1:
             return False
         g = self.monic()
-        return next(_distinct_degree_split(g, _frobenius(g))) == (g, g.degree)
+        return next(_distinct_degree_split(g, _frobenius(g))) == (g, g.degree, 1)
 
 
 class FpPolynomial(_FieldPolynomial):
@@ -521,10 +521,10 @@ def _frobenius(g):
 
 
 # ---------------------------------------------------------------------------
-# factorization engine: squarefree split, distinct-degree split, then
-# Cantor-Zassenhaus equal-degree split on seeded random trials (the trace
-# map in characteristic 2).  Every step costs polylog(q) field operations;
-# no step enumerates field elements.
+# factorization engine: the distinct-degree split, which reads off the
+# multiplicities too, then Cantor-Zassenhaus equal-degree split on seeded
+# random trials (the trace map in characteristic 2).  Every step costs
+# polylog(q) field operations; no step enumerates field elements.
 
 _EDF_SEED = 0x0E0F
 
@@ -536,42 +536,16 @@ def is_squarefree_ext(g) -> bool:
     return g.gcd(g.derivative()).degree == 0
 
 
-def _p_th_root(g):
-    """Inverse Frobenius on a polynomial of the form h(y^p)."""
-    field = g.field
-    root_exp = field.order // field.p  # c -> c^(q/p) is the p-th root in F_q
-    return g._new([field.pow(c, root_exp) for c in g.coeffs[:: field.p]])
-
-
-def _squarefree_split(g):
-    """Monic g of degree >= 1 -> list of (monic squarefree part, multiplicity)."""
-    c = g.gcd(g.derivative())
-    if c.degree == 0:  # squarefree, or the constant cofactor of y^v
-        return [(g, 1)] if g.degree > 0 else []
-    out = []
-    w = g // c
-    i = 1
-    while w.degree > 0:
-        y = w.gcd(c)
-        z = w // y
-        if z.degree > 0:
-            out.append((z, i))
-        i += 1
-        w = y
-        c = c // y
-    if c.degree > 0:
-        out.extend((h, mult * g.field.p) for h, mult in _squarefree_split(_p_th_root(c)))
-    return out
-
-
 def _distinct_degree_split(g, frobenius):
-    """Monic g and its _frobenius -> blocks (h, d), lowest d first, each yielded
-    once found; for squarefree g, h is the product of g's irreducibles of degree d.
-    The first block decides irreducibility for any monic g, squarefree or not: a
-    reducible g of degree n has an irreducible factor of degree <= n/2, so the
-    first block is (g, n) iff g is irreducible (von zur Gathen & Gerhard, Modern
-    Computer Algebra, §14.2).  w = y^(q^d) mod g costs one Frobenius product per
-    d, and since rest | g, w % rest is y^(q^d) mod rest."""
+    """Monic g and its _frobenius -> blocks (h, d, e), lowest d first, each yielded
+    once found: h is the product of g's irreducibles of degree d and multiplicity e.
+    h = gcd(rest, y^(q^d) - y) holds each degree-d irreducible of rest once, so
+    dividing it out of rest and taking gcd(rest, h) again peels one multiplicity per
+    step (von zur Gathen & Gerhard, Modern Computer Algebra, §14.2).  A reducible
+    g of degree n has an irreducible factor of degree <= n/2, counted with
+    multiplicity, so the first block is (g, n, 1) iff g is irreducible.
+    w = y^(q^d) mod g costs one Frobenius product per d, and since rest | g,
+    w % rest is y^(q^d) mod rest."""
     rest = g
     if g.degree >= 2:
         y = w = g._new((0, 1))
@@ -580,11 +554,16 @@ def _distinct_degree_split(g, frobenius):
             d += 1
             w = frobenius(w)
             h = rest.gcd(w % rest - y)
-            if h.degree > 0:
-                yield h, d
+            e = 0
+            while h.degree > 0:
                 rest = rest // h
+                e += 1
+                deeper = rest.gcd(h)
+                if deeper.degree < h.degree:
+                    yield h // deeper, d, e
+                h = deeper
     if rest.degree > 0:
-        yield rest, rest.degree
+        yield rest, rest.degree, 1
 
 
 def _split_equal_degree(g, d: int, frobenius, rng=None):
@@ -636,11 +615,11 @@ def factor_ext(g):
     g = g.monic()
     v = next(i for i, c in enumerate(g.coeffs) if c)  # g = y^v * cofactor
     out = [(g._new((0, 1)), v)] if v else []
-    for part, mult in _squarefree_split(g._new(g.coeffs[v:])):  # [] for g = y^v
-        frobenius = _frobenius(part) if part.degree >= 2 else None
-        for prod, d in _distinct_degree_split(part, frobenius):
-            for irr in _split_equal_degree(prod, d, frobenius):
-                out.append((irr, mult))
+    rest = g._new(g.coeffs[v:])
+    frobenius = _frobenius(rest) if rest.degree >= 2 else None
+    for prod, d, mult in _distinct_degree_split(rest, frobenius):  # none for g = y^v
+        for irr in _split_equal_degree(prod, d, frobenius):
+            out.append((irr, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
 

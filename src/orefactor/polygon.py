@@ -94,9 +94,6 @@ class NewtonPolygon(Record):
     def principal_vertices(self) -> tuple:
         return _chain(self.principal_sides)
 
-    def principal_length(self) -> int:
-        return sum(s.length for s in self.principal_sides)
-
 
 def _chain(sides) -> tuple:
     """The vertices of consecutive sides, from the first start to the last end."""

@@ -485,29 +485,25 @@ class TestFactorExt:
         assert factor_ext(sq) == [(ExtPolynomial.from_ints(F3, [-1, 1]), 2)]
         y2 = ExtPolynomial.from_ints(F4, [0, 0, 1])
         assert factor_ext(y2) == [(ExtPolynomial.y(F4), 2)]
+        # one degree, three multiplicities: (y-1)(y-2)^2(y-3)^3 over F_5
+        F5 = ResidueField.prime_field(5)
+        roots = [ExtPolynomial.from_ints(F5, [-r, 1]) for r in (1, 2, 3)]
+        g = roots[0] * _power(roots[1], 2) * _power(roots[2], 3)
+        assert factor_ext(g) == [(roots[2], 3), (roots[1], 2), (roots[0], 1)]  # y + 2 first
+        # h^2 has degree 2 * deg h: the split's n/2 bound still reaches h
+        F2 = ResidueField.prime_field(2)
+        h = ExtPolynomial.from_ints(F2, [1, 0, 1, 0, 0, 1])  # y^5 + y^2 + 1
+        assert h.is_irreducible() and not (h * h).is_irreducible()
+        assert factor_ext(h * h) == [(h, 2)]
 
     def test_char_p_power_with_frobenius(self):
-        # (y^2 + y + 2)^3 over F_3 has zero derivative
+        # (y^2 + y + 2)^3 and (y^2 + y + 2)^9 over F_3 have zero derivative
         F3 = ResidueField.prime_field(3)
         base = ExtPolynomial.from_ints(F3, [2, 1, 1])
-        g = base * base * base
-        assert g.derivative().is_zero()
-        assert factor_ext(g) == [(base, 3)]
-
-    def test_squarefree_split_returns_a_squarefree_input_itself(self, F4, F9):
-        """A squarefree g leaves the split after its first gcd, as the same
-        object; the constant cofactor that factor_ext passes for g = y^v
-        gives no part.  Over F_q there are q^d - q^(d-1) squarefree monic
-        polynomials of degree d >= 2, and q of degree 1."""
-        for field in (ResidueField.prime_field(2), ResidueField.prime_field(3), F4, F9):
-            q = field.order
-            for d in (1, 2, 3):
-                squarefree = [g for g in _monic_polys(field, d) if is_squarefree_ext(g)]
-                assert len(squarefree) == (q if d == 1 else q**d - q ** (d - 1))
-                for g in squarefree:
-                    [(part, mult)] = ffield._squarefree_split(g)
-                    assert part is g and mult == 1
-            assert ffield._squarefree_split(ExtPolynomial.from_ints(field, (1,))) == []
+        for e in (3, 9):
+            g = _power(base, e)
+            assert g.derivative().is_zero()
+            assert factor_ext(g) == [(base, e)]
 
     def test_squarefree_agrees_with_multiplicities(self, F4, F8, F9):
         rng = random.Random(23)
@@ -525,7 +521,7 @@ class TestFactorExt:
                     for _ in range(deg + 1)
                 ]
                 inputs.append(ExtPolynomial(field, coeffs))
-        # p-th powers and h1 * h2^2 * h3^p keep Yun's loop and its p-th root covered
+        # p-th powers and h1 * h2^2 * h3^p: multiplicities p and above, and mixed ones
         for field in (F2, F4, F9):
             for _ in range(15):
                 h1, h2, h3 = (
@@ -543,12 +539,8 @@ class TestFactorExt:
                 for _ in range(mult):
                     product = product * h
             assert product == g
+            # the derivative gcd is an oracle apart from the split's multiplicities
             assert is_squarefree_ext(g) == all(m == 1 for _, m in factors)
-            if g.is_monic():
-                parts = ffield._squarefree_split(g)
-                assert all(is_squarefree_ext(h) for h, _ in parts)
-                assert len({m for _, m in parts}) == len(parts)
-                assert functools.reduce(operator.mul, (_power(h, m) for h, m in parts)) == g
 
 
 def _power(h, e):
@@ -605,7 +597,7 @@ class TestEqualDegreeSplit:
         """The first trial's (a * a^q * ... * a^(q^(d-1)))^((q-1)/2) is
         a^((q^d-1)/2) mod g, with the a^(q^i) read from the _frobenius of a
         multiple of g (g times an irreducible of another degree), as
-        factor_ext passes the map of the whole squarefree part.  A wrong
+        factor_ext passes the map of its whole input.  A wrong
         power still splits g, only more slowly, so the power is checked."""
         field = ResidueField.get(p, FpPolynomial(p, modulus))
         q, rng = field.order, random.Random(p)
@@ -818,10 +810,16 @@ class TestOneExponentiationPerModulus:
         # over F_11: (x - 1)(x - 2)(x^10 - 2), 2 a primitive root mod 11
         g = fp(11, -1, 1) * fp(11, -2, 1) * fp(11, -2, *[0] * 9, 1)
         parts = _distinct_degree_split(g, _frobenius(g))
-        assert [(h.coeffs, d) for h, d in parts] == [
-            ((fp(11, -1, 1) * fp(11, -2, 1)).coeffs, 1),
-            (fp(11, -2, *[0] * 9, 1).coeffs, 10),
+        assert [(h.coeffs, d, e) for h, d, e in parts] == [
+            ((fp(11, -1, 1) * fp(11, -2, 1)).coeffs, 1, 1),
+            (fp(11, -2, *[0] * 9, 1).coeffs, 10, 1),
         ]
+        assert exponents[11] == 1
+
+    def test_repeated_factor_shares_the_exponentiation(self, exponents):
+        # over F_11: (x^2 - 2)^2 (x^10 - 2), both irreducible
+        quadratic, decic = fp(11, -2, 0, 1), fp(11, -2, *[0] * 9, 1)
+        assert factor_ext(quadratic * quadratic * decic) == [(quadratic, 2), (decic, 1)]
         assert exponents[11] == 1
 
 

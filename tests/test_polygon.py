@@ -145,7 +145,7 @@ class TestBuildPolygon:
                 if phi_expand(f, lift).terms[0].is_zero():
                     continue  # exact divisibility shifts the polygon
                 poly = build_polygon(f, lift, p)
-                assert poly.principal_length() == mult
+                assert sum(s.length for s in poly.principal_sides) == mult
                 checked += 1
         assert checked > 100
 
