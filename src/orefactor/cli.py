@@ -15,7 +15,7 @@ library itself has no such limit.  Its cost grows about as the cube of
 the degree, and further with log p; near _MAX_DEGREE a call over a prime
 near 2^61 takes up to about a second, where the parser alone would let
 degrees up to _MAX_EXPONENT through.  sweep --range has no width limit:
-its cost is linear in the width, about 0.4 ms per m, and its report holds
+its cost is linear in the width, about 0.3 ms per m, and its report holds
 one row per squarefree m.
 """
 

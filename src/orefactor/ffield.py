@@ -13,7 +13,8 @@ Representation conventions:
   one digit is the residue itself.  mul, inverse and pow are int
   arithmetic mod p in F_p.  In F_{p^k}, mul reduces the digit product
   by intpoly._divmod_monic, pow is power of the digits through _mulmod
-  of the modulus, and the inverse is one extended Euclid over F_p against it.
+  of the modulus, and the inverse is one extended Euclid against it on
+  int lists (_fparith.divmod_p and convolve), with no polynomial objects.
   add with a 0 operand, sub of 0 and, in F_{p^k}, mul with a 0 or 1
   operand return at once, exact as element ints lie in [0, q).
   The modulus must be monic, nonconstant and irreducible.  Fields are
@@ -38,16 +39,18 @@ Representation conventions:
   into one int, multiplies once and reduces by the rows x^(n+i) mod g.
 * ResidueFieldElem is the public value type of a single element.
 
-Factoring (factor_ext, factor_mod_p) reads the power y^v of the variable
-off its v low zero coefficients, so x^n - m modulo a prime dividing m
-needs no split.  The cofactor goes through the distinct-degree split,
-which also peels repeated factors by gcd and so yields each block with
-its multiplicity, then Cantor-Zassenhaus equal-degree splitting: gcds with
-a^((q^d-1)/2) - 1 for odd q, or with the trace a + ... + a^(2^(dk-1)) for
-q = 2^k, over random trials a drawn from a fixed seed.  Factoring
-exponentiates once per input, to x^q mod g; Frobenius is linear, so
-every further w^(q^i) mod g, in either split, is a matrix-vector product
-(_frobenius).  The split's lazy first block is the irreducibility test.
+Factoring (factor_ext, factor_mod_p) returns a degree-1 input at once as
+its monic self, irreducible by degree.  Otherwise it reads the power y^v
+of the variable off its v low zero coefficients, so x^n - m modulo a
+prime dividing m needs no split.  The cofactor goes through the
+distinct-degree split, which also peels repeated factors by gcd and so
+yields each block with its multiplicity, then Cantor-Zassenhaus
+equal-degree splitting: gcds with a^((q^d-1)/2) - 1 for odd q, or with
+the trace a + ... + a^(2^(dk-1)) for q = 2^k, over random trials a drawn
+from a fixed seed.  Factoring exponentiates once per input, to x^q mod
+g; Frobenius is linear, so every further w^(q^i) mod g, in either split,
+is a matrix-vector product (_frobenius).  The split's lazy first block
+is the irreducibility test.
 Time and memory are polynomial in log q.  Factor lists are sorted by
 (degree, coefficient ints), so every run is identical.
 """
@@ -57,8 +60,9 @@ from __future__ import annotations
 import functools
 import operator
 import random
+from itertools import zip_longest
 
-from ._fparith import convolve, divmod_p, gcd_p, mulmod_p, power
+from ._fparith import _trim, convolve, divmod_p, gcd_p, mulmod_p, power
 from .errors import NonMonicModulus, ReducibleModulus, ZeroModP
 from .intpoly import (
     IntPolynomial, _DensePolynomial, _divmod_monic, _format_poly, _require_prime, _trimmed,
@@ -163,7 +167,8 @@ class ResidueField:
         return value
 
     def inverse(self, a: int) -> int:
-        """a^-1: pow(a, -1, p) in F_p, one extended Euclid over F_p in F_{p^k}."""
+        """a^-1: pow(a, -1, p) in F_p; in F_{p^k}, one extended Euclid over F_p
+        on the int lists of the modulus and a's digits, by divmod_p and convolve."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero residue-field element")
         p = self.p
@@ -171,14 +176,15 @@ class ResidueField:
             return pow(a, -1, p)
         # Keep s * a == r (mod modulus) while r runs down the remainder
         # sequence of (modulus, a); it ends at a nonzero constant r.
-        r0, r1 = self.modulus, self.modulus._new(self.digits(a))
-        s0, s1 = r1._new(()), r1._new((1,))
-        while r1.degree > 0:
-            quot, rem = divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s0 - quot * s1
-        scale = pow(r1.coeffs[0], -1, p)
-        return self.from_digits([c * scale for c in s1.coeffs])
+        r0, r1 = list(self.modulus.coeffs), _trim(self.digits(a))
+        s0, s1 = [0], [1]
+        while len(r1) > 1:
+            quot, rem = divmod_p(r0, r1, p)
+            r0, r1 = r1, _trim(rem)
+            prod = convolve(quot, s1)
+            s0, s1 = s1, [(x - y) % p for x, y in zip_longest(s0, prod, fillvalue=0)]
+        scale = pow(r1[0], -1, p)
+        return self.from_digits([c * scale for c in s1])
 
     def format(self, a: int) -> str:
         return _format_poly(self.digits(a), "j")
@@ -604,7 +610,8 @@ def factor_ext(g):
 
     Returns [(monic irreducible, multiplicity), ...] sorted by
     (degree, coefficient order); the unit g.leading() is implicit.
-    Every factor is irreducible by construction: y^(q^d) - y is the
+    A degree-1 g is [(g.monic(), 1)] at once, with no split.
+    Every other factor is irreducible by construction: y^(q^d) - y is the
     product of the monic irreducibles of degree dividing d, and each split
     returns a factor only once its degree shows it holds one irreducible.
     """
@@ -612,6 +619,8 @@ def factor_ext(g):
         raise ValueError("factorization of the zero polynomial")
     if g.degree < 1:
         raise ValueError("factorization requires degree >= 1")
+    if g.degree == 1:  # irreducible by degree
+        return [(g.monic(), 1)]
     g = g.monic()
     v = next(i for i, c in enumerate(g.coeffs) if c)  # g = y^v * cofactor
     out = [(g._new((0, 1)), v)] if v else []

@@ -291,14 +291,19 @@ class IntPolynomial(_DensePolynomial):
 
 def _divmod_monic(rem: list, div: tuple) -> None:
     """The one monic division over Z, in place: afterwards rem[:d] is the
-    remainder of rem by div and rem[d:] the quotient, d = deg div.  Callers:
-    IntPolynomial.__divmod__, _phi_digits and ResidueField.mul (F_{p^k} digits)."""
+    remainder of rem by div and rem[d:] the quotient, d = deg div.  For
+    div = x^d that already holds, so it returns at once (phi = x in
+    _phi_digits).  Callers: IntPolynomial.__divmod__, _phi_digits and
+    ResidueField.mul (F_{p^k} digits)."""
     d = len(div) - 1
+    low = div[:d]
+    if not any(low):
+        return
     for k in range(len(rem) - d - 1, -1, -1):
         q = rem[k + d]  # the quotient's x^k coefficient, left in place
         if q:
-            for j in range(d):
-                rem[k + j] -= q * div[j]
+            for j, c in enumerate(low, k):
+                rem[j] -= q * c
 
 
 def vp_int(n: int, p: int):

@@ -27,12 +27,16 @@ class Side(Record):
     principal sides), slope the exact rational -height/length, degree
     gcd(length, height); e = length/degree is the denominator of the
     reduced slope and becomes the ramification index downstream.
+    degree is computed once, on construction, and kept out of the fields:
+    equality, hash, repr and pickling see start and end only.
     """
 
-    __slots__ = _fields = ("start", "end")
+    _fields = ("start", "end")
+    __slots__ = _fields + ("degree",)
 
     def __init__(self, start: tuple, end: tuple):
         super().__init__(start, end)
+        object.__setattr__(self, "degree", math.gcd(self.length, self.height))
 
     @property
     def length(self) -> int:
@@ -45,10 +49,6 @@ class Side(Record):
     @property
     def slope(self) -> Fraction:
         return Fraction(self.end[1] - self.start[1], self.length)
-
-    @property
-    def degree(self) -> int:
-        return math.gcd(self.length, abs(self.height))
 
     @property
     def e(self) -> int:

@@ -23,7 +23,7 @@ from orefactor.ffield import (
     factor_mod_p,
     is_squarefree_ext,
 )
-from orefactor.intpoly import IntPolynomial
+from orefactor.intpoly import IntPolynomial, is_prime
 from orefactor.monogenity import count_monic_irreducibles
 from orefactor.ore import ore_factor
 
@@ -339,12 +339,12 @@ class TestResidueField:
             assert sorted(keys) == list(range(field.order))
 
     def test_inverse_of_every_element(self, F8, F9):
-        F25 = ResidueField.get(5, fp(5, 2, 0, 1))  # x^2 + 2
-        for field in (F8, F9, F25):
-            for a in range(1, field.order):
+        extra = [(5, (2, 0, 1)), (2, (1, 1, 0, 0, 1)), (3, (1, 2, 0, 1)), (2, (1, 0, 1, 0, 0, 1))]
+        for field in [F8, F9] + [ResidueField.get(p, FpPolynomial(p, m)) for p, m in extra]:
+            for a in range(1, field.order):  # F_8, F_9, F_25, F_16, F_27 and F_32
                 inv = field.inverse(a)
-                assert field.mul(a, inv) == 1
-                assert inv == field.pow(a, field.order - 2)  # Fermat
+                assert field.mul(a, inv) == 1, (field, a)
+                assert inv == field.pow(a, field.order - 2), (field, a)  # Fermat
 
     def test_negative_pow_is_pow_of_the_inverse(self, F4, F9):
         """pow(a, -e) = pow(a^-1, e) in every field; over F_9 = F_3[x]/(x^2 + 1),
@@ -369,13 +369,26 @@ class TestResidueField:
             _fparith.power(convolve, (1, 1), -1)
 
     def test_inverse_in_large_extension(self):
-        field = ResidueField.get(101, fp(101, -2, 0, 0, 0, 0, 1))  # x^5 - 2
+        """200 seeded elements each of F_{101^5}, of F_{p^10} with p near 10^5
+        (large_p's x^10 - c) and of F_{(2^61-1)^2}, plus prime-subfield
+        constants, whose remainder sequence is one step, and j, whose is longest."""
+        p10 = next(p for p in range(10**5 + 1, 10**5 + 1000, 10) if is_prime(p))  # 1 mod 10
+        c = next(c for c in range(2, p10) if all(pow(c, (p10 - 1) // r, p10) != 1 for r in (2, 5)))
         rng = random.Random(5)
-        for _ in range(200):
-            a = rng.randrange(1, field.order)
-            assert field.mul(a, field.inverse(a)) == 1
-        with pytest.raises(ZeroDivisionError):
-            field.inverse(0)
+        for p, modulus in [  # each checked irreducible by ResidueField.get
+            (101, (-2, 0, 0, 0, 0, 1)),
+            (p10, (-c,) + (0,) * 9 + (1,)),
+            (2**61 - 1, (1, 0, 1)),
+        ]:
+            field = ResidueField.get(p, FpPolynomial(p, modulus))
+            sample = [1, 2, p - 1, p] + [rng.randrange(1, field.order) for _ in range(200)]
+            for a in sample:
+                inv = field.inverse(a)
+                assert field.mul(a, inv) == 1, (field, a)
+                assert inv == field.pow(a, field.order - 2), (field, a)
+            assert field.inverse(2) == pow(2, -1, p)  # a constant's inverse stays in F_p
+            with pytest.raises(ZeroDivisionError):
+                field.inverse(0)
 
     def test_cache_returns_same_object(self):
         a = ResidueField.get(2, fp(2, 1, 1, 1))
@@ -472,6 +485,21 @@ class TestFactorExt:
                     is_squarefree_ext(g)
             else:
                 assert is_squarefree_ext(g)
+
+    def test_degree_one_is_its_own_monic_factor(self, F4, F8, F9):
+        """Every c1*y + c0, c1 != 0, over F_2, F_3, F_4, F_8 and F_9 (c*y
+        included) factors as [(g.monic(), 1)], a fresh list on each call."""
+        prime_fields = (ResidueField.prime_field(2), ResidueField.prime_field(3))
+        for field in prime_fields + (F4, F8, F9):
+            for c1 in range(1, field.order):
+                for c0 in range(field.order):
+                    g = ExtPolynomial._make(field, (c0, c1))
+                    factors = factor_ext(g)
+                    assert factors == [(g.monic(), 1)], (field, g)
+                    [(h, _)] = factors
+                    assert h.is_monic() and h.coeffs[0] == field.mul(c0, field.inverse(c1))
+                    assert ExtPolynomial(field, [g.leading()]) * h == g
+                    assert factor_ext(g) is not factors
 
     def test_irreducible_quadratic_over_f2(self):
         F2 = ResidueField.prime_field(2)
@@ -805,6 +833,17 @@ class TestOneExponentiationPerModulus:
     def test_degree_1_needs_no_exponentiation(self, exponents):
         assert fp(2**61 - 1, 3, 1).is_irreducible()
         assert not exponents
+
+    def test_degree_1_factors_without_a_split(self, monkeypatch, F9):
+        def refuse(*args):
+            raise AssertionError("a degree-1 input needs no Frobenius and no split")
+
+        monkeypatch.setattr(ffield, "_frobenius", refuse)
+        monkeypatch.setattr(ffield, "_distinct_degree_split", refuse)
+        g = ExtPolynomial._make(F9, (0, 5))  # (j + 2)*y
+        assert factor_ext(g) == [(ExtPolynomial.y(F9), 1)]
+        p = 2**61 - 1
+        assert factor_ext(fp(p, 3, 7)) == [(fp(p, 3 * pow(7, -1, p), 1), 1)]  # 7x + 3
 
     def test_distinct_degree_split_1_1_10(self, exponents):
         # over F_11: (x - 1)(x - 2)(x^10 - 2), 2 a primitive root mod 11

@@ -59,6 +59,15 @@ class TestIntPolynomial:
         assert q * poly(5, 1) + r == poly(1, 2, 3)
         assert r.degree < 1
 
+    def test_divmod_by_a_power_of_x_is_a_split(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            f = poly(*[rng.randint(-9, 9) for _ in range(rng.randint(0, 8))])
+            for d in (1, 2, 3):
+                q, r = divmod(f, X**d)
+                assert (q, r) == (IntPolynomial(f.coeffs[d:]), IntPolynomial(f.coeffs[:d]))
+                assert q * X**d + r == f
+
     def test_divmod_requires_monic(self):
         with pytest.raises(NonMonicModulus):
             divmod(poly(1, 1), poly(1, 2))
@@ -152,9 +161,22 @@ class TestValuations:
 
 class TestPhiExpansion:
     def test_base_x_is_coefficient_list(self):
+        """In base x^d the digits are f's coefficients d at a time, zeros included."""
         f = IntPolynomial.pure(12, 7)
         exp = phi_expand(f, X)
         assert tuple(t[0] for t in exp.terms) == f.coeffs
+        rng = random.Random(5)
+        for _ in range(100):
+            low = [rng.choice([0, rng.randint(-99, 99)]) for _ in range(rng.randint(0, 12))]
+            f = poly(*low, rng.randint(1, 99))
+            exp = phi_expand(f, X)
+            assert [t.coeffs for t in exp.terms] == [(c,) if c else () for c in f.coeffs]
+            assert exp.recompose() == f
+            for d in (2, 3):
+                terms = phi_expand(f, X**d).terms
+                assert terms == tuple(
+                    IntPolynomial(f.coeffs[i : i + d]) for i in range(0, len(f.coeffs), d)
+                )
 
     def test_binomial_shift_expansion(self):
         # x^12 - m in base x - 1: digit i is C(12, i) except the constant 1 - m

@@ -233,6 +233,23 @@ def test_pure_field_input_certified_primes_stay_out_of_the_value():
     assert a.ramified_candidates() == [2, 3, 5]
 
 
+def test_side_degree_is_computed_once_and_stays_out_of_the_value():
+    assert Side._fields == ("start", "end")
+    side = Side((0, 3), (4, 1))
+    assert side.degree == 2 and side.e == 2
+    assert repr(side) == "Side(start=(0, 3), end=(4, 1))"
+    assert hash(side) == hash(((0, 3), (4, 1)))
+    forged = Side((0, 3), (4, 1))
+    object.__setattr__(forged, "degree", 7)
+    assert forged == side and hash(forged) == hash(side)
+    clone = pickle.loads(pickle.dumps(forged))  # rebuilt from start and end
+    assert clone == side and clone.degree == 2
+    assert Side((0, 0), (0, 0)).degree == 0
+    with pytest.raises(AttributeError):
+        side.degree = 3
+    assert side.degree == 2
+
+
 @pytest.mark.parametrize(
     "make",
     [
