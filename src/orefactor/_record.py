@@ -2,7 +2,9 @@
 
 A subclass names its fields in _fields and holds them in __slots__.  Its
 own __init__ gives the signature and defaults and passes the values, in
-_fields order, to Record.__init__, the one place that stores fields.
+_fields order, to Record.__init__, the one place that stores fields,
+through the slot descriptors' __set__, which bypasses the refusing
+__setattr__ below.
 Record adds what a frozen dataclass would: equality and hash over the
 fields, between instances of one type only; a repr that names every
 field; no assignment or deletion; and pickling and copying through the
@@ -14,10 +16,16 @@ dataclasses (with inspect, ast and dis) and generated code per class.
 class Record:
     __slots__ = ()
     _fields: tuple = ()
+    _stores: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the __set__ of each field's slot descriptor, looked up once per class
+        cls._stores = tuple([getattr(cls, name).__set__ for name in cls._fields])
 
     def __init__(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._stores, values, strict=True):
+            store(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -47,10 +47,15 @@ distinct-degree split, which also peels repeated factors by gcd and so
 yields each block with its multiplicity, then Cantor-Zassenhaus
 equal-degree splitting: gcds with a^((q^d-1)/2) - 1 for odd q, or with
 the trace a + ... + a^(2^(dk-1)) for q = 2^k, over random trials a drawn
-from a fixed seed.  Factoring exponentiates once per input, to x^q mod
-g; Frobenius is linear, so every further w^(q^i) mod g, in either split,
-is a matrix-vector product (_frobenius).  The split's lazy first block
-is the irreducibility test.
+from a fixed seed.  Factoring exponentiates once per input: to
+s = x^((q-1)/2) mod g for odd q, with x^q = x*s^2, and to x^q mod g for
+q = 2^k.  Frobenius is linear, so every further w^(q^i) mod g, in either
+split, is a matrix-vector product (_frobenius).  For odd q the first
+equal-degree trial on each block is a = y, whose power (q^d-1)/2 is the
+product of the s^(q^i), i < d: it splits the block by the quadratic
+character of its roots with no exponentiation, and only the parts it
+leaves unsplit go on to the random trials.  The split's lazy first
+block is the irreducibility test.
 Time and memory are polynomial in log q.  Factor lists are sorted by
 (degree, coefficient ints), so every run is identical.
 """
@@ -512,18 +517,34 @@ def _frobenius(g):
     Frobenius is F_q-linear: (sum w_i x^i)^q = sum w_i x^(q*i).  One
     exponentiation x^q mod g gives the rows x^(q*i) mod g, i < n
     (Berlekamp's Q-matrix); each application then costs n^2 field operations.
+    For odd q that exponentiation is s = x^((q-1)/2) mod g, with x^q = x*s^2,
+    and s is kept as the map's attribute half: the first equal-degree trial
+    reads its character from it (_split_equal_degree).  half is None for
+    even q and for n = 1, where nothing is exponentiated.
     """
     n, field, mulmod = g.degree, g.field, _mulmod(g)
-    xq = power(mulmod, (0, 1), field.order) if n > 1 else None  # read by rows past x^0
+    half = xq = None  # xq is read by rows past x^0 only
+    if n > 1 and field.order % 2:
+        s = power(mulmod, (0, 1), field.order // 2)
+        half, xq = g._new(s), mulmod(mulmod(s, s), (0, 1))
+    elif n > 1:
+        xq = power(mulmod, (0, 1), field.order)
     rows = [(1,)]
     while len(rows) < n:
         rows.append(mulmod(rows[-1], xq))
     cols = list(zip(*[r + (0,) * (n - len(r)) for r in rows]))
     if field.degree == 1:
         p = field.p
-        return lambda w: g._new([sum(map(operator.mul, w.coeffs, c)) % p for c in cols])
-    add, mul = field.add, field.mul
-    return lambda w: g._new([functools.reduce(add, map(mul, w.coeffs, c), 0) for c in cols])
+
+        def frobenius(w):
+            return g._new([sum(map(operator.mul, w.coeffs, c)) % p for c in cols])
+    else:
+        add, mul = field.add, field.mul
+
+        def frobenius(w):
+            return g._new([functools.reduce(add, map(mul, w.coeffs, c), 0) for c in cols])
+    frobenius.half = half
+    return frobenius
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +600,31 @@ def _split_equal_degree(g, d: int, frobenius, rng=None):
     for odd q, or the trace a + a^2 + ... + a^(2^(dk-1)) for q = 2^k, both
     mod g; gcd(g, w) is a proper factor with probability >= 1/2.  For odd q,
     a^((q^d-1)/2) = (a * a^q * ... * a^(q^(d-1)))^((q-1)/2), each a^(q^i) by
-    frobenius (of a multiple of g) mod g.  rng is seeded once per top-level call.
+    frobenius (of a multiple of g) mod g.
+    A top-level call (rng None) for odd q first tries a = y with no
+    exponentiation: y^((q^d-1)/2) is the product of the s^(q^i), i < d, for
+    s = frobenius.half = y^((q-1)/2), so it costs d - 1 Frobenius products.
+    gcd(g, that - 1) splits g by the quadratic character of y at its roots,
+    never 0, as y is a unit mod g (factor_ext peels y^v first).  The parts
+    it leaves of degree > d, on each of which y has one character, go on to
+    the random trials, with one rng seeded for them all.
     """
     if g.degree == d:
         return [g]
     if rng is None:
+        parts = [g]
+        if frobenius.half is not None:
+            w = term = frobenius.half % g
+            for _ in range(d - 1):
+                term = frobenius(term) % g
+                w = w * term % g
+            h = g.gcd(w - g._new((1,)))
+            if 0 < h.degree < g.degree:
+                parts = [h, g // h]
+        if all(part.degree == d for part in parts):
+            return parts
         rng = random.Random(_EDF_SEED)
+        return [irr for part in parts for irr in _split_equal_degree(part, d, frobenius, rng)]
     q = g.field.order
     mulmod = _mulmod(g)
     while True:

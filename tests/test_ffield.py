@@ -809,26 +809,29 @@ class TestFrobeniusKernel:
                 assert x.pow_mod(e, g) == x.pow_mod(e - 1, g) * x % g, (name, str(g), e)
 
 
+@pytest.fixture
+def exponents(monkeypatch):
+    """How often ffield's power ran, by exponent."""
+    seen = Counter()
+    power = ffield.power
+
+    def counted_power(mul, base, e):
+        seen[e] += 1
+        return power(mul, base, e)
+
+    monkeypatch.setattr(ffield, "power", counted_power)
+    return seen
+
+
 class TestOneExponentiationPerModulus:
-    """The irreducibility test and distinct-degree splitting exponentiate by
-    q once per modulus; every further Frobenius power is a matrix product."""
-
-    @pytest.fixture
-    def exponents(self, monkeypatch):
-        seen = Counter()
-        power = ffield.power
-
-        def counted_power(mul, base, e):
-            seen[e] += 1
-            return power(mul, base, e)
-
-        monkeypatch.setattr(ffield, "power", counted_power)
-        return seen
+    """The irreducibility test and distinct-degree splitting exponentiate
+    once per modulus: for odd q to (q - 1)/2, giving s = x^((q-1)/2) and
+    x^q = x * s^2.  Every further Frobenius power is a matrix product."""
 
     def test_irreducibility_degree_12_over_f13(self, exponents):
         g = fp(13, -2, *[0] * 11, 1)  # x^12 - 2: 2 has order 12 mod 13
         assert g.is_irreducible()
-        assert exponents[13] == 1
+        assert exponents == {6: 1}
 
     def test_degree_1_needs_no_exponentiation(self, exponents):
         assert fp(2**61 - 1, 3, 1).is_irreducible()
@@ -853,13 +856,110 @@ class TestOneExponentiationPerModulus:
             ((fp(11, -1, 1) * fp(11, -2, 1)).coeffs, 1, 1),
             (fp(11, -2, *[0] * 9, 1).coeffs, 10, 1),
         ]
-        assert exponents[11] == 1
+        assert exponents == {5: 1}
 
     def test_repeated_factor_shares_the_exponentiation(self, exponents):
         # over F_11: (x^2 - 2)^2 (x^10 - 2), both irreducible
         quadratic, decic = fp(11, -2, 0, 1), fp(11, -2, *[0] * 9, 1)
         assert factor_ext(quadratic * quadratic * decic) == [(quadratic, 2), (decic, 1)]
-        assert exponents[11] == 1
+        assert exponents == {5: 1}
+
+
+class TestFreeFirstTrial:
+    """For odd q, equal-degree splitting first tries a = y.  Its character
+    y^((q^d-1)/2) is a product of Frobenius powers of the half power
+    y^((q-1)/2) that _frobenius computes on its way to y^q, so the trial
+    costs no exponentiation; only what it leaves unsplit is drawn at random."""
+
+    @pytest.fixture
+    def seeds(self, monkeypatch):
+        """The seed of every random.Random built in ffield."""
+        seen, Random = [], random.Random
+
+        def recorded(seed):
+            seen.append(seed)
+            return Random(seed)
+
+        monkeypatch.setattr(ffield.random, "Random", recorded)
+        return seen
+
+    @staticmethod
+    def refuse_random(monkeypatch):
+        def refuse(seed):
+            raise AssertionError("the character of y should have split this input")
+
+        monkeypatch.setattr(ffield.random, "Random", refuse)
+
+    @staticmethod
+    def character(h):
+        """y^((q^d-1)/2) mod the irreducible h of degree d: 1 or -1."""
+        q = h.field.order
+        return h._new((0, 1)).pow_mod((q**h.degree - 1) // 2, h).coeffs
+
+    def test_nonresidue_root_splits_with_no_random_trial(self, monkeypatch, exponents):
+        p = 1000003
+        assert pow(2, (p - 1) // 2, p) == p - 1  # 2 a non-residue, 1 a residue
+        self.refuse_random(monkeypatch)
+        assert factor_ext(fp(p, 2, -3, 1)) == [(fp(p, -2, 1), 1), (fp(p, -1, 1), 1)]
+        assert exponents == {p // 2: 1}
+
+    def test_residue_roots_go_on_to_the_seeded_trials(self, seeds):
+        p = 10**9 + 7
+        assert pow(2, (p - 1) // 2, p) == 1  # 1 and 2 both residues
+        assert factor_ext(fp(p, 2, -3, 1)) == [(fp(p, -2, 1), 1), (fp(p, -1, 1), 1)]
+        assert seeds == [ffield._EDF_SEED]
+
+    @pytest.mark.parametrize(
+        "p, modulus, d",
+        [(3, (0, 1), 2), (3, (1, 0, 1), 1), (5, (2, 0, 1), 1)],  # F_3, F_9, F_25
+    )
+    def test_blocks_split_by_the_character_of_y(self, monkeypatch, exponents, seeds, p, modulus, d):
+        field = ResidueField.get(p, FpPolynomial(p, modulus))
+        q = field.order
+        rng = random.Random(q + d)
+        irreducibles = [h for h in _monic_irreducibles(field, d, rng) if h.coeffs[0]]
+        by_character = {}
+        for h in irreducibles:
+            by_character.setdefault(self.character(h), []).append(h)
+        minus_one = (p - 1,)  # the element int of -1, in the prime subfield
+        assert sorted(by_character) == [(1,), minus_one], (p, modulus, d)
+        residue, nonresidue = by_character[(1,)][0], by_character[minus_one][0]
+        # the whole degree-d block: what the random trials split, in sorted order
+        g = functools.reduce(operator.mul, irreducibles)
+        seeds.clear()
+        assert factor_ext(g) == [(h, 1) for h in irreducibles], (p, modulus, d)
+        assert seeds == [ffield._EDF_SEED]
+        # one factor of each character: y alone splits them
+        self.refuse_random(monkeypatch)
+        exponents.clear()
+        assert factor_ext(residue * nonresidue) == sorted(
+            [(residue, 1), (nonresidue, 1)], key=lambda hm: hm[0].sort_key()
+        )
+        assert exponents == {q // 2: 1}, (p, modulus, d)
+
+    def test_root_zero_and_multiplicities_stay_out(self, monkeypatch):
+        """y^v is peeled before the split and each multiplicity is its own
+        block, so the character split sees only squarefree blocks prime to y."""
+        F5 = ResidueField.prime_field(5)
+        y, one = ExtPolynomial.y(F5), ExtPolynomial.from_ints(F5, [1])
+        blocks, split = [], ffield._split_equal_degree
+
+        def recorded(g, d, frobenius, rng=None):
+            if rng is None:
+                blocks.append((g, d))
+            return split(g, d, frobenius, rng)
+
+        monkeypatch.setattr(ffield, "_split_equal_degree", recorded)
+        self.refuse_random(monkeypatch)
+        g = _power(y, 2) * _power(y - one, 2) * (y - one - one)
+        assert factor_ext(g) == [(y, 2), (y - one - one, 1), (y - one, 2)]
+        assert blocks == [(y - one - one, 1), (y - one, 1)]  # multiplicity 1 is peeled first
+        blocks.clear()
+        # 1 a residue mod 5 and 2 not: the block (y - 1)(y - 2) splits by y
+        assert factor_ext(_power(y, 3) * (y - one) * (y - one - one)) == [
+            (y, 3), (y - one - one, 1), (y - one, 1),
+        ]
+        assert blocks == [((y - one) * (y - one - one), 1)]
 
 
 def test_reducible_refused_at_the_first_block(monkeypatch):
