@@ -45,17 +45,17 @@ of the variable off its v low zero coefficients, so x^n - m modulo a
 prime dividing m needs no split.  The cofactor goes through the
 distinct-degree split, which also peels repeated factors by gcd and so
 yields each block with its multiplicity, then Cantor-Zassenhaus
-equal-degree splitting: gcds with a^((q^d-1)/2) - 1 for odd q, or with
-the trace a + ... + a^(2^(dk-1)) for q = 2^k, over random trials a drawn
-from a fixed seed.  Factoring exponentiates once per input: to
-s = x^((q-1)/2) mod g for odd q, with x^q = x*s^2, and to x^q mod g for
-q = 2^k.  Frobenius is linear, so every further w^(q^i) mod g, in either
-split, is a matrix-vector product (_frobenius).  For odd q the first
-equal-degree trial on each block is a = y, whose power (q^d-1)/2 is the
-product of the s^(q^i), i < d: it splits the block by the quadratic
-character of its roots with no exponentiation, and only the parts it
-leaves unsplit go on to the random trials.  The split's lazy first
-block is the irreducibility test.
+equal-degree splitting: one trial loop that splits each part h of a
+block by gcd(h, w - 1), with w = a^((q^d-1)/2) for odd q or the trace
+a + ... + a^(2^(dk-1)) for q = 2^k.  The Frobenius map costs one
+exponentiation per input: to s = x^((q-1)/2) mod g for odd q, with
+x^q = x*s^2, and to x^q mod g for q = 2^k.  It is linear, so every
+further w^(q^i) mod g, in either split, is a matrix-vector product
+(_frobenius).  For odd q the first trial on each block is a = y, whose w
+is the product of the s^(q^i), i < d: it splits the block by the
+quadratic character of its roots with no exponentiation.  Later trials
+draw a from a fixed seed.  The split's lazy first block is the
+irreducibility test.
 Time and memory are polynomial in log q.  Factor lists are sorted by
 (degree, coefficient ints), so every run is identical.
 """
@@ -518,9 +518,9 @@ def _frobenius(g):
     exponentiation x^q mod g gives the rows x^(q*i) mod g, i < n
     (Berlekamp's Q-matrix); each application then costs n^2 field operations.
     For odd q that exponentiation is s = x^((q-1)/2) mod g, with x^q = x*s^2,
-    and s is kept as the map's attribute half: the first equal-degree trial
-    reads its character from it (_split_equal_degree).  half is None for
-    even q and for n = 1, where nothing is exponentiated.
+    and s is kept as the map's attribute half: it is the t of the first
+    equal-degree trial (_split_equal_degree).  half is None for even q and
+    for n = 1, where nothing is exponentiated.
     """
     n, field, mulmod = g.degree, g.field, _mulmod(g)
     half = xq = None  # xq is read by rows past x^0 only
@@ -549,8 +549,8 @@ def _frobenius(g):
 
 # ---------------------------------------------------------------------------
 # factorization engine: the distinct-degree split, which reads off the
-# multiplicities too, then Cantor-Zassenhaus equal-degree split on seeded
-# random trials (the trace map in characteristic 2).  Every step costs
+# multiplicities too, then the Cantor-Zassenhaus equal-degree trial loop
+# (the trace map in characteristic 2).  Every step costs
 # polylog(q) field operations; no step enumerates field elements.
 
 _EDF_SEED = 0x0E0F
@@ -593,56 +593,51 @@ def _distinct_degree_split(g, frobenius):
         yield rest, rest.degree, 1
 
 
-def _split_equal_degree(g, d: int, frobenius, rng=None):
+def _split_equal_degree(g, d: int, frobenius):
     """Monic product of distinct degree-d irreducibles -> its factors.
 
-    Cantor-Zassenhaus: a random a of degree < deg g gives w = a^((q^d-1)/2) - 1
-    for odd q, or the trace a + a^2 + ... + a^(2^(dk-1)) for q = 2^k, both
-    mod g; gcd(g, w) is a proper factor with probability >= 1/2.  For odd q,
-    a^((q^d-1)/2) = (a * a^q * ... * a^(q^(d-1)))^((q-1)/2), each a^(q^i) by
-    frobenius (of a multiple of g) mod g.
-    A top-level call (rng None) for odd q first tries a = y with no
-    exponentiation: y^((q^d-1)/2) is the product of the s^(q^i), i < d, for
-    s = frobenius.half = y^((q-1)/2), so it costs d - 1 Frobenius products.
-    gcd(g, that - 1) splits g by the quadratic character of y at its roots,
-    never 0, as y is a unit mod g (factor_ext peels y^v first).  The parts
-    it leaves of degree > d, on each of which y has one character, go on to
-    the random trials, with one rng seeded for them all.
+    Cantor-Zassenhaus as one trial loop over a work list of parts h.  A
+    trial on h starts from t = a^((q-1)/2) mod h for odd q, or the trace
+    t = a + a^2 + ... + a^(2^(k-1)) for q = 2^k, with a random a of degree
+    < deg h from one generator seeded with _EDF_SEED, built at its first
+    draw.  Frobenius is a ring map mod h, so w, the product (odd q) or sum
+    (q = 2^k) of the t^(q^i), i < d, each read from frobenius (of a
+    multiple of g) mod h, is a^((q^d-1)/2) or a + ... + a^(2^(dk-1)).  w is
+    1 or not at each root, and gcd(h, w - 1) is a proper factor with
+    probability >= 1/2.  For odd q the first trial, on g, is a = y, whose
+    t = frobenius.half needs no exponentiation: it splits g by the
+    quadratic character of y at its roots, never 0, as y is a unit mod g
+    (factor_ext peels y^v first).
     """
     if g.degree == d:
         return [g]
-    if rng is None:
-        parts = [g]
-        if frobenius.half is not None:
-            w = term = frobenius.half % g
+    q, minus_one = g.field.order, -g._new((1,))
+    t, rng, parts, out = frobenius.half, None, [g], []
+    while parts:
+        h = parts.pop()
+        if h.degree == d:
+            out.append(h)
+            continue
+        mulmod, s = _mulmod(h), h
+        while not 0 < s.degree < h.degree:  # one trial per pass
+            if t is None:
+                if rng is None:
+                    rng = random.Random(_EDF_SEED)
+                a = h._new([rng.randrange(q) for _ in range(h.degree)])
+                if q % 2:
+                    t = h._new(power(mulmod, a.coeffs, q // 2))
+                else:
+                    t = term = a
+                    for _ in range(q.bit_length() - 2):
+                        term = h._new(mulmod(term.coeffs, term.coeffs))
+                        t = t + term
+            w = term = t % h
             for _ in range(d - 1):
-                term = frobenius(term) % g
-                w = w * term % g
-            h = g.gcd(w - g._new((1,)))
-            if 0 < h.degree < g.degree:
-                parts = [h, g // h]
-        if all(part.degree == d for part in parts):
-            return parts
-        rng = random.Random(_EDF_SEED)
-        return [irr for part in parts for irr in _split_equal_degree(part, d, frobenius, rng)]
-    q = g.field.order
-    mulmod = _mulmod(g)
-    while True:
-        a = g._new([rng.randrange(q) for _ in range(g.degree)])
-        w = term = a
-        if q % 2:
-            for _ in range(d - 1):
-                term = frobenius(term) % g
-                w = g._new(mulmod(w.coeffs, term.coeffs))
-            w = g._new(power(mulmod, w.coeffs, q // 2)) - g._new((1,))
-        else:
-            for _ in range(d * (q.bit_length() - 1) - 1):
-                term = g._new(mulmod(term.coeffs, term.coeffs))
-                w = w + term
-        h = g.gcd(w)
-        if 0 < h.degree < g.degree:
-            return (_split_equal_degree(h, d, frobenius, rng)
-                    + _split_equal_degree(g // h, d, frobenius, rng))
+                term = frobenius(term) % h
+                w = h._new(mulmod(w.coeffs, term.coeffs)) if q % 2 else w + term
+            s, t = h.gcd(w + minus_one), None
+        parts += [h // s, s]
+    return out
 
 
 def factor_ext(g):

@@ -619,24 +619,26 @@ class TestEqualDegreeSplit:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize(
-        "p, modulus", [(13, (0, 1)), (65537, (0, 1)), (3, (1, 0, 1)), (5, (2, 0, 1))]
+        "p, modulus",
+        [(13, (0, 1)), (65537, (0, 1)), (3, (1, 0, 1)), (5, (2, 0, 1)), (2, (0, 1)), (2, (1, 1, 1))],
     )
     def test_power_through_the_frobenius_of_a_multiple(self, monkeypatch, p, modulus):
-        """The first trial's (a * a^q * ... * a^(q^(d-1)))^((q-1)/2) is
-        a^((q^d-1)/2) mod g, with the a^(q^i) read from the _frobenius of a
-        multiple of g (g times an irreducible of another degree), as
-        factor_ext passes the map of its whole input.  A wrong
-        power still splits g, only more slowly, so the power is checked."""
+        """Every trial's w, read from the _frobenius of a multiple of g (g
+        times an irreducible of another degree, as factor_ext passes the map
+        of its whole input), is a^((q^d-1)/2) mod its part h for odd q, and
+        the trace a + a^2 + ... + a^(2^(dk-1)) mod h for q = 2^k.  a is y in
+        the first trial at odd q, else the next draws of the seeded
+        generator.  A wrong w still splits g, only more slowly, so w is
+        checked by value at each trial's gcd(h, w - 1)."""
         field = ResidueField.get(p, FpPolynomial(p, modulus))
         q, rng = field.order, random.Random(p)
-        power, powers = ffield.power, []
+        gcd, trials = ffield._FieldPolynomial.gcd, []
 
-        def recorded_power(mul, base, e):
-            out = power(mul, base, e)
-            powers.append((e, out))
-            return out
+        def recorded_gcd(h, w_minus_one):
+            assert len(trials) < 1000, "a thousand trials and no split"
+            trials.append((h, w_minus_one + h._new((1,))))
+            return gcd(h, w_minus_one)
 
-        monkeypatch.setattr(ffield, "power", recorded_power)
         for d in (1, 2, 3):
             chosen = _monic_irreducibles(field, d, rng)[:3]
             other = _monic_irreducibles(field, d + 1, rng)[0]
@@ -644,14 +646,27 @@ class TestEqualDegreeSplit:
             for h in chosen:
                 g = g * h
             frobenius = _frobenius(g * other)
-            powers.clear()
-            split = _split_equal_degree(g, d, frobenius, random.Random(7))
+            trials.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ffield._FieldPolynomial, "gcd", recorded_gcd)
+                split = _split_equal_degree(g, d, frobenius)
             assert sorted(split, key=lambda h: h.sort_key()) == chosen, (p, modulus, d)
-            trial = random.Random(7)
-            a = g._new([trial.randrange(q) for _ in range(g.degree)])
-            e, first = powers[0]
-            assert e == q // 2, (p, modulus, d)
-            assert g._new(first) == a.pow_mod((q**d - 1) // 2, g), (p, modulus, d)
+            if len(chosen) > 1:  # one irreducible comes back with no trial
+                assert trials[0][0] == g, (p, modulus, d)
+            draws = random.Random(ffield._EDF_SEED)
+            for i, (h, w) in enumerate(trials):
+                if i == 0 and q % 2:
+                    a = h._new((0, 1))
+                else:
+                    a = h._new([draws.randrange(q) for _ in range(h.degree)])
+                if q % 2:
+                    expected = a.pow_mod((q**d - 1) // 2, h)
+                else:
+                    expected = term = a % h
+                    for _ in range(d * (q.bit_length() - 1) - 1):
+                        term = term * term % h
+                        expected = expected + term
+                assert w == expected, (p, modulus, d, i)
 
 
 def _necklace_count(q, d):
@@ -944,10 +959,9 @@ class TestFreeFirstTrial:
         y, one = ExtPolynomial.y(F5), ExtPolynomial.from_ints(F5, [1])
         blocks, split = [], ffield._split_equal_degree
 
-        def recorded(g, d, frobenius, rng=None):
-            if rng is None:
-                blocks.append((g, d))
-            return split(g, d, frobenius, rng)
+        def recorded(g, d, frobenius):
+            blocks.append((g, d))
+            return split(g, d, frobenius)
 
         monkeypatch.setattr(ffield, "_split_equal_degree", recorded)
         self.refuse_random(monkeypatch)
@@ -1022,7 +1036,7 @@ class TestOneProductPerModulus:
                 g = g * h
             frobenius = _frobenius(g)
             builds.clear()
-            split = _split_equal_degree(g, d, frobenius, random.Random(7))
+            split = _split_equal_degree(g, d, frobenius)
             assert sorted(split, key=lambda h: h.sort_key()) == chosen, (p, modulus, d)
             # a split tree with len(chosen) leaves has len(chosen) - 1 inner nodes
             assert sum(builds.values()) == len(builds) == len(chosen) - 1, (p, modulus, d)
