@@ -51,11 +51,12 @@ a + ... + a^(2^(dk-1)) for q = 2^k.  The Frobenius map costs one
 exponentiation per input: to s = x^((q-1)/2) mod g for odd q, with
 x^q = x*s^2, and to x^q mod g for q = 2^k.  It is linear, so every
 further w^(q^i) mod g, in either split, is a matrix-vector product
-(_frobenius).  For odd q the first trial on each block is a = y, whose w
-is the product of the s^(q^i), i < d: it splits the block by the
-quadratic character of its roots with no exponentiation.  Later trials
-draw a from a fixed seed.  The split's lazy first block is the
-irreducibility test.
+(_frobenius); only the trial loop at q = 2 squares mod its part
+instead.  For odd q the first trial on each block is a = y, whose w is
+the product of the s^(q^i), i < d: it splits the block by the quadratic
+character of its roots with no exponentiation.  Later trials draw a
+from a fixed seed.  The split's lazy first block is the irreducibility
+test.
 Time and memory are polynomial in log q.  Factor lists are sorted by
 (degree, coefficient ints), so every run is identical.
 """
@@ -602,17 +603,18 @@ def _split_equal_degree(g, d: int, frobenius):
     < deg h from one generator seeded with _EDF_SEED, built at its first
     draw.  Frobenius is a ring map mod h, so w, the product (odd q) or sum
     (q = 2^k) of the t^(q^i), i < d, each read from frobenius (of a
-    multiple of g) mod h, is a^((q^d-1)/2) or a + ... + a^(2^(dk-1)).  w is
-    1 or not at each root, and gcd(h, w - 1) is a proper factor with
-    probability >= 1/2.  For odd q the first trial, on g, is a = y, whose
-    t = frobenius.half needs no exponentiation: it splits g by the
-    quadratic character of y at its roots, never 0, as y is a unit mod g
-    (factor_ext peels y^v first).
+    multiple of g) mod h, or at q = 2 squared mod h, which costs less, is
+    a^((q^d-1)/2) or a + ... + a^(2^(dk-1)).  w is 1 or not at each root,
+    and gcd(h, w - 1) is a proper factor with probability >= 1/2.  For odd
+    q the first trial, on g, is a = y, whose t = frobenius.half mod g needs
+    no exponentiation: it splits g by the quadratic character of y at its
+    roots, never 0, as y is a unit mod g (factor_ext peels y^v first).
     """
-    if g.degree == d:
+    if g.degree == d:  # one irreducible; factor_ext passes no map for degree 1
         return [g]
-    q, minus_one = g.field.order, -g._new((1,))
-    t, rng, parts, out = frobenius.half, None, [g], []
+    q, half, rng, parts, out = g.field.order, frobenius.half, None, [g], []
+    t = None if half is None else half % g  # half is reduced mod a multiple of g
+    minus_one = g._new((g.field.p - 1,))  # -1 is the digit p - 1 at j^0
     while parts:
         h = parts.pop()
         if h.degree == d:
@@ -631,9 +633,9 @@ def _split_equal_degree(g, d: int, frobenius):
                     for _ in range(q.bit_length() - 2):
                         term = h._new(mulmod(term.coeffs, term.coeffs))
                         t = t + term
-            w = term = t % h
+            w = term = t
             for _ in range(d - 1):
-                term = frobenius(term) % h
+                term = h._new(mulmod(term.coeffs, term.coeffs)) if q == 2 else frobenius(term) % h
                 w = h._new(mulmod(w.coeffs, term.coeffs)) if q % 2 else w + term
             s, t = h.gcd(w + minus_one), None
         parts += [h // s, s]

@@ -622,14 +622,16 @@ class TestEqualDegreeSplit:
         "p, modulus",
         [(13, (0, 1)), (65537, (0, 1)), (3, (1, 0, 1)), (5, (2, 0, 1)), (2, (0, 1)), (2, (1, 1, 1))],
     )
-    def test_power_through_the_frobenius_of_a_multiple(self, monkeypatch, p, modulus):
+    def test_power_through_the_frobenius_of_a_multiple(self, monkeypatch, exponents, p, modulus):
         """Every trial's w, read from the _frobenius of a multiple of g (g
         times an irreducible of another degree, as factor_ext passes the map
         of its whole input), is a^((q^d-1)/2) mod its part h for odd q, and
         the trace a + a^2 + ... + a^(2^(dk-1)) mod h for q = 2^k.  a is y in
         the first trial at odd q, else the next draws of the seeded
         generator.  A wrong w still splits g, only more slowly, so w is
-        checked by value at each trial's gcd(h, w - 1)."""
+        checked by value at each trial's gcd(h, w - 1).  The only powers
+        taken are the random trials' a^((q-1)/2): w comes from Frobenius
+        products, never from one power to (q^d-1)/2."""
         field = ResidueField.get(p, FpPolynomial(p, modulus))
         q, rng = field.order, random.Random(p)
         gcd, trials = ffield._FieldPolynomial.gcd, []
@@ -647,10 +649,14 @@ class TestEqualDegreeSplit:
                 g = g * h
             frobenius = _frobenius(g * other)
             trials.clear()
+            exponents.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(ffield._FieldPolynomial, "gcd", recorded_gcd)
                 split = _split_equal_degree(g, d, frobenius)
             assert sorted(split, key=lambda h: h.sort_key()) == chosen, (p, modulus, d)
+            # one power per random trial at odd q, where the first trial is y; none at q = 2^k
+            powers = len(trials) - 1 if trials and q % 2 else 0
+            assert sum(exponents.values()) == exponents[q // 2] == powers, (p, modulus, d)
             if len(chosen) > 1:  # one irreducible comes back with no trial
                 assert trials[0][0] == g, (p, modulus, d)
             draws = random.Random(ffield._EDF_SEED)
