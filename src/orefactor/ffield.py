@@ -574,22 +574,20 @@ def _distinct_degree_split(g, frobenius):
     multiplicity, so the first block is (g, n, 1) iff g is irreducible.
     w = y^(q^d) mod g costs one Frobenius product per d, and since rest | g,
     w % rest is y^(q^d) mod rest."""
-    rest = g
-    if g.degree >= 2:
-        y = w = g._new((0, 1))
-        d = 0
-        while rest.degree >= 2 * (d + 1):
-            d += 1
-            w = frobenius(w)
-            h = rest.gcd(w % rest - y)
-            e = 0
-            while h.degree > 0:
-                rest = rest // h
-                e += 1
-                deeper = rest.gcd(h)
-                if deeper.degree < h.degree:
-                    yield h // deeper, d, e
-                h = deeper
+    rest, d = g, 0
+    y = w = g._new((0, 1))
+    while rest.degree >= 2 * (d + 1):
+        d += 1
+        w = frobenius(w)
+        h = rest.gcd(w % rest - y)
+        e = 0
+        while h.degree > 0:
+            rest = rest // h
+            e += 1
+            deeper = rest.gcd(h)
+            if deeper.degree < h.degree:
+                yield h // deeper, d, e
+            h = deeper
     if rest.degree > 0:
         yield rest, rest.degree, 1
 
@@ -609,9 +607,8 @@ def _split_equal_degree(g, d: int, frobenius):
     q the first trial, on g, is a = y, whose t = frobenius.half mod g needs
     no exponentiation: it splits g by the quadratic character of y at its
     roots, never 0, as y is a unit mod g (factor_ext peels y^v first).
+    g may itself be one irreducible: a part of degree d leaves untried.
     """
-    if g.degree == d:  # one irreducible; factor_ext passes no map for degree 1
-        return [g]
     q, half, rng, parts, out = g.field.order, frobenius.half, None, [g], []
     t = None if half is None else half % g  # half is reduced mod a multiple of g
     minus_one = g._new((g.field.p - 1,))  # -1 is the digit p - 1 at j^0
@@ -645,12 +642,14 @@ def _split_equal_degree(g, d: int, frobenius):
 def factor_ext(g):
     """Complete factorization over the coefficient field of g.
 
-    Returns [(monic irreducible, multiplicity), ...] sorted by
-    (degree, coefficient order); the unit g.leading() is implicit.
-    A degree-1 g is [(g.monic(), 1)] at once, with no split.
-    Every other factor is irreducible by construction: y^(q^d) - y is the
-    product of the monic irreducibles of degree dividing d, and each split
-    returns a factor only once its degree shows it holds one irreducible.
+    Returns [(monic irreducible, multiplicity), ...] sorted by (degree,
+    coefficient order); the unit g.leading() is implicit.  A degree-1 g is
+    [(g.monic(), 1)] at once.  y^v is read off the v low zero coefficients,
+    so c*y^v, x^n - m modulo a prime dividing m, needs no split and no
+    Frobenius map; every cofactor of degree >= 1 gets one, shared by both
+    splits.  Each factor is irreducible by construction: y^(q^d) - y is the
+    product of the monic irreducibles of degree dividing d, and a split
+    returns a factor only once its degree shows it is one irreducible.
     """
     if g.is_zero():
         raise ValueError("factorization of the zero polynomial")
@@ -662,10 +661,10 @@ def factor_ext(g):
     v = next(i for i, c in enumerate(g.coeffs) if c)  # g = y^v * cofactor
     out = [(g._new((0, 1)), v)] if v else []
     rest = g._new(g.coeffs[v:])
-    frobenius = _frobenius(rest) if rest.degree >= 2 else None
-    for prod, d, mult in _distinct_degree_split(rest, frobenius):  # none for g = y^v
-        for irr in _split_equal_degree(prod, d, frobenius):
-            out.append((irr, mult))
+    if rest.degree:  # g = c*y^v has no cofactor and builds no map
+        frobenius = _frobenius(rest)
+        for prod, d, mult in _distinct_degree_split(rest, frobenius):
+            out += [(irr, mult) for irr in _split_equal_degree(prod, d, frobenius)]
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
 

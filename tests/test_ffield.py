@@ -674,6 +674,24 @@ class TestEqualDegreeSplit:
                         expected = expected + term
                 assert w == expected, (p, modulus, d, i)
 
+    def test_one_irreducible_leaves_untried(self, monkeypatch, F4, F9):
+        """A block that is one irreducible of degree d comes back as is, with
+        no gcd, no random draw and no product mod g."""
+
+        def refuse(*args):
+            raise AssertionError("one irreducible needs no trial")
+
+        for field in (ResidueField.prime_field(2), ResidueField.prime_field(3), F4, F9):
+            _, irreducible = _sieved_irreducibles(field, 3)
+            for d, polys in irreducible.items():
+                for g in polys:
+                    frobenius = _frobenius(g)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ffield._FieldPolynomial, "gcd", refuse)
+                        patch.setattr(ffield.random, "Random", refuse)
+                        patch.setattr(ffield, "_mulmod", refuse)
+                        assert _split_equal_degree(g, d, frobenius) == [g], (field, str(g))
+
 
 def _necklace_count(q, d):
     """(1/d) * sum over e | d of mu(e) * q^(d/e), with mu by trial division."""
@@ -787,6 +805,19 @@ class TestPowerOfTheVariable:
                         for _ in range(mult):
                             product = product * irr
                     assert product == h, h
+
+    def test_pure_power_builds_no_map(self, monkeypatch, F4, F9):
+        """c*y^v has no cofactor: no Frobenius map and no split."""
+
+        def refuse(g):
+            raise AssertionError(f"a pure power needs no Frobenius map, got {g}")
+
+        monkeypatch.setattr(ffield, "_frobenius", refuse)
+        for field in (ResidueField.prime_field(2), ResidueField.prime_field(3), F4, F9):
+            y = ExtPolynomial.y(field)
+            for c, v in itertools.product(range(1, field.order), range(1, 14)):
+                g = y._new((0,) * v + (c,))
+                assert factor_ext(g) == [(y, v)], (field, c, v)
 
 
 def _random_poly(rng, field, degree, monic):

@@ -173,6 +173,67 @@ class TestWitnessCounting:
         assert witness_nonmonogenic(rep) == (1, 3, 2)
 
 
+class TestResidueClassTables:
+    """At p = 2 and 3 the shape of p Z_K for x^12 - m, and the index
+    valuation, depend only on m mod 16 and m mod 9 (for v_p(m) <= 1).
+    The tables were read off every squarefree 2 <= |m| <= 2000, one answer
+    per class; seeded m of hundreds of digits must land on the same row,
+    so a digit, valuation or lift that moves with the high digits of m
+    shows up as a mismatch."""
+
+    # class -> (sorted ef_multiset, index_valuation)
+    AT_2 = {
+        1: ([(1, 1), (1, 1), (1, 2), (1, 2), (2, 1), (2, 2)], 9),
+        2: ([(12, 1)], 0),
+        3: ([(4, 1), (4, 2)], 0),
+        5: ([(2, 2), (2, 2), (2, 2)], 6),
+        6: ([(12, 1)], 0),
+        7: ([(4, 1), (4, 2)], 0),
+        9: ([(1, 2), (1, 2), (1, 2), (2, 1), (2, 2)], 9),
+        10: ([(12, 1)], 0),
+        11: ([(4, 1), (4, 2)], 0),
+        13: ([(2, 2), (2, 2), (2, 2)], 6),
+        14: ([(12, 1)], 0),
+        15: ([(4, 1), (4, 2)], 0),
+    }
+    AT_3 = {
+        1: ([(1, 1), (1, 1), (1, 2), (2, 1), (2, 1), (2, 2)], 4),
+        2: ([(3, 2), (3, 2)], 0),
+        3: ([(12, 1)], 0),
+        4: ([(3, 1), (3, 1), (3, 2)], 0),
+        5: ([(3, 2), (3, 2)], 0),
+        6: ([(12, 1)], 0),
+        7: ([(3, 1), (3, 1), (3, 2)], 0),
+        8: ([(1, 2), (1, 2), (2, 2), (2, 2)], 4),
+    }
+    CASES = [(2, 16, AT_2), (3, 9, AT_3)]
+
+    @pytest.mark.parametrize("p, modulus, table", CASES)
+    def test_tables_follow_the_case_split(self, p, modulus, table):
+        """Every class with v_p(m) <= 1 has a row; Z[alpha] is p-maximal
+        exactly for m = 2, 3 mod 4 at 2 and m != +-1 mod 9 at 3."""
+        assert sorted(table) == [c for c in range(modulus) if c % (p * p)]
+        for c, (ef, index) in table.items():
+            assert ef == sorted(ef) and sum(e * f for e, f in ef) == 12, (p, c)
+            zero = c % 4 in (2, 3) if p == 2 else c not in (1, 8)
+            assert (index == 0) == zero, (p, c)
+        assert len({(tuple(ef), index) for ef, index in table.values()}) == 5
+
+    @pytest.mark.parametrize("p, modulus, table", CASES)
+    def test_huge_m_land_on_their_row(self, p, modulus, table):
+        """Five seeded m of 200-400 digits, of either sign, per class; the
+        counting witness exists exactly where the index is positive."""
+        rng = random.Random(modulus)
+        for c, (ef, index) in table.items():
+            for _ in range(5):
+                digits = rng.randrange(200, 401)
+                k = rng.choice((1, -1)) * rng.randrange(10 ** (digits - 2), 10 ** (digits - 1))
+                m = k * modulus + c  # about `digits` digits, m = c mod modulus
+                report = ore_factor(IntPolynomial.pure(12, m), p)
+                assert (report.ef_multiset(), report.index_valuation) == (ef, index), (p, c)
+                assert (witness_nonmonogenic(report) is None) == (index == 0), (p, c)
+
+
 class TestEngineRoute:
     def test_monogenic_with_zero_indices(self):
         verdict = classify_engine(7)
